@@ -4,9 +4,9 @@
 
 GO ?= go
 
-.PHONY: check build vet fmt-check lint lint-sarif test race fuzz-smoke bench bench-json serve-smoke serve-bench-json bench-diff bench-diff-report twin-check twin-check-report
+.PHONY: check build vet fmt-check lint lint-sarif test race perfbench-build perfbench-test fuzz-smoke bench bench-json serve-smoke serve-bench-json bench-diff bench-diff-report twin-check twin-check-report
 
-check: build vet fmt-check lint test race bench-diff-report twin-check-report
+check: build vet fmt-check lint test race perfbench-build bench-diff-report twin-check-report
 
 build:
 	$(GO) build ./...
@@ -67,6 +67,18 @@ race:
 		./internal/sim ./internal/checkpoint ./internal/countsim ./internal/rng \
 		./internal/serve ./internal/topology ./internal/fairness ./internal/sched \
 		./internal/twin
+
+# perfbench/ is its own Go module (replace repro => ../), so neither
+# `build` nor `test` above reaches it, yet it drives harness.RunTrialCtx
+# and countsim.NewBatch and reads the engine/* and phase/grouping span
+# names. perfbench-build compiles and vets it against this checkout (in
+# `check`); perfbench-test runs its ~50 s suite (outside `check`). The
+# benchmark itself runs with `bash perfbench/run.sh` (perfbench/README.md).
+perfbench-build:
+	cd perfbench && $(GO) build -o /dev/null ./... && $(GO) vet ./...
+
+perfbench-test:
+	cd perfbench && $(GO) test ./...
 
 # Short exploratory pass over every fuzz target (the plain corpora run
 # under `test`); a real campaign raises -fuzztime.

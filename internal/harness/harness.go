@@ -21,7 +21,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/countsim"
-	"repro/internal/obs"
 	"repro/internal/obs/span"
 	"repro/internal/population"
 	"repro/internal/rng"
@@ -326,50 +325,14 @@ func runTrial(ctx context.Context, spec TrialSpec, ropts RunOptions) (TrialResul
 		// count engines for scenarios, so this dispatch happens first.
 		return runScenarioTrial(ctx, p, spec, ropts)
 	}
+	ct := sim.NewCountTarget(p.CanonMap(), target)
 	if spec.Engine == EngineCount || spec.Engine == EngineBatch {
-		return runCountTrial(ctx, p, spec, ropts)
+		return runCountTrial(ctx, p, spec, ct, ropts)
 	}
-	pop := population.New(p, spec.N)
-	opts := sim.Options{MaxInteractions: spec.MaxInteractions, Ctx: ctx}
-	var gc *sim.GroupingCounter
-	if spec.Grouping {
-		gc = &sim.GroupingCounter{Watch: p.G(spec.K)}
-		opts.Hooks = []sim.Hook{gc}
-	}
-	// A traced run gets an engine span with per-#gk phase children. The
-	// spans are observational only — they never feed back into the result,
-	// so a traced and an untraced run of the same spec stay byte-identical.
-	espan := span.FromContext(ctx).Child("engine/agent")
-	if espan != nil {
-		opts.Hooks = append(opts.Hooks, &obs.PhaseSpans{Watch: p.G(spec.K), Parent: espan})
-	}
-	if ropts.Progress > 0 {
-		opts.Hooks = append(opts.Hooks, &obs.Progress{
-			Every: ropts.Progress,
-			Label: fmt.Sprintf("n=%d k=%d seed=%#x", spec.N, spec.K, spec.Seed),
-		})
-	}
-	res, err := sim.Run(pop, sched.NewRandom(spec.Seed), sim.NewCountTarget(p.CanonMap(), target), opts)
-	if espan != nil {
-		espan.SetSeq(0, res.Interactions).
-			SetAttr("interactions", fmt.Sprint(res.Interactions)).
-			SetAttr("productive", fmt.Sprint(res.Productive))
-		espan.End()
-	}
-	if err != nil {
-		return TrialResult{}, err
-	}
-	out := TrialResult{
-		Spec:         spec,
-		Interactions: res.Interactions,
-		Productive:   res.Productive,
-		Converged:    res.Converged,
-		Spread:       res.Spread(),
-	}
-	if gc != nil {
-		out.Marks = append([]uint64(nil), gc.Marks...)
-	}
-	return out, nil
+	w := newTrialWatch(ctx, p, spec, "engine/agent", ropts)
+	opts := sim.Options{MaxInteractions: spec.MaxInteractions, Ctx: ctx, Hooks: w.hooks()}
+	res, err := sim.Run(population.New(p, spec.N), sched.NewRandom(spec.Seed), ct, opts)
+	return w.finish(res.Interactions, res.Productive, res.Converged, res.Spread(), err)
 }
 
 // countEngine is the run-loop surface shared by the sequential count
@@ -383,10 +346,10 @@ type countEngine interface {
 }
 
 // runCountTrial runs a trial on the count-based engine (sequential or
-// batched). Grouping marks are reconstructed from the gk count observed
-// inside the stop predicate; on the batched engine the predicate only
-// runs at batch boundaries, so marks are boundary-granular there.
-func runCountTrial(ctx context.Context, p *core.Protocol, spec TrialSpec, ropts RunOptions) (TrialResult, error) {
+// batched) until ct matches. The trial watch observes the gk count inside
+// the stop predicate; on the batched engine the predicate only runs at
+// batch boundaries, so marks and phase spans are boundary-granular there.
+func runCountTrial(ctx context.Context, p *core.Protocol, spec TrialSpec, ct *sim.CountTarget, ropts RunOptions) (TrialResult, error) {
 	var s countEngine
 	engSpan := "engine/count"
 	if spec.Engine == EngineBatch {
@@ -414,106 +377,18 @@ func runCountTrial(ctx context.Context, p *core.Protocol, spec TrialSpec, ropts 
 	if maxI == 0 {
 		maxI = sim.DefaultMaxInteractions
 	}
-	gk := p.G(spec.K)
-	var marks []uint64
-	best := 0
-	// Precompute the stable signature once; calling p.IsStable per
-	// productive step would rebuild the target and canon slices each time
-	// (it dominated the count-engine profile before this change).
-	canon := p.CanonMap()
-	target, err := p.TargetCounts(spec.N)
-	if err != nil {
-		return TrialResult{}, err
-	}
-	scratch := make([]int, len(target))
-	var prog *obs.Progress
-	if ropts.Progress > 0 {
-		prog = &obs.Progress{
-			Every: ropts.Progress,
-			Label: fmt.Sprintf("n=%d k=%d seed=%#x", spec.N, spec.K, spec.Seed),
-		}
-	}
-	// A traced run gets an engine span plus one "phase/grouping" child
-	// per #gk milestone, timed on the engine's own interaction counter
-	// (which includes the geometrically skipped null batches). Milestones
-	// are detected for tracing even when the spec did not ask for marks,
-	// but the spans never leak into the result: Marks stays nil unless
-	// spec.Grouping, so traced and untraced results are byte-identical.
-	espan := span.FromContext(ctx).Child(engSpan)
-	trackPhases := spec.Grouping || espan != nil
-	phases := 0
-	var prevMark uint64
+	w := newTrialWatch(ctx, p, spec, engSpan, ropts)
 	pred := func(counts []int) bool {
-		if prog != nil {
-			prog.MaybeReport(s.Interactions(), s.Productive(), func() int {
-				return spreadOf(p.GroupSizesFromCounts(counts))
+		if w.armed() {
+			w.observe(counts[w.gk], s.Interactions(), s.Productive(), func() int {
+				return population.SpreadOf(p.GroupSizesFromCounts(counts))
 			})
 		}
-		if trackPhases {
-			if c := counts[gk]; c > best {
-				for i := best; i < c; i++ {
-					if spec.Grouping {
-						marks = append(marks, s.Interactions())
-					}
-					phases++
-					espan.Child("phase/grouping").
-						SetAttr("index", fmt.Sprint(phases)).
-						SetSeq(prevMark, s.Interactions()).
-						End()
-					prevMark = s.Interactions()
-				}
-				best = c
-			}
-		}
-		for i := range scratch {
-			scratch[i] = 0
-		}
-		for st, c := range counts {
-			scratch[canon[st]] += c
-		}
-		for i := range scratch {
-			if scratch[i] != target[i] {
-				return false
-			}
-		}
-		return true
+		return ct.Matches(counts)
 	}
 	ok, err := s.RunUntilCtx(ctx, pred, maxI)
-	if espan != nil {
-		espan.SetSeq(0, s.Interactions()).
-			SetAttr("interactions", fmt.Sprint(s.Interactions())).
-			SetAttr("productive", fmt.Sprint(s.Productive()))
-		espan.End()
-	}
-	if err != nil {
-		return TrialResult{}, err
-	}
-	res := TrialResult{
-		Spec:         spec,
-		Interactions: s.Interactions(),
-		Productive:   s.Productive(),
-		Converged:    ok,
-		Marks:        marks,
-	}
-	res.Spread = spreadOf(p.GroupSizesFromCounts(s.CountsView()))
-	return res, nil
-}
-
-// spreadOf returns max−min of a group-size vector.
-func spreadOf(sizes []int) int {
-	if len(sizes) == 0 {
-		return 0
-	}
-	min, max := sizes[0], sizes[0]
-	for _, v := range sizes[1:] {
-		if v < min {
-			min = v
-		}
-		if v > max {
-			max = v
-		}
-	}
-	return max - min
+	return w.finish(s.Interactions(), s.Productive(), ok,
+		population.SpreadOf(p.GroupSizesFromCounts(s.CountsView())), err)
 }
 
 // RunMany executes specs over a worker pool and returns results in input
@@ -624,20 +499,21 @@ func Aggregate(n, k int, trials []TrialResult) Point {
 	if len(trials) == 0 {
 		return pt
 	}
+	// Min and Max range over the converged trials only, like Mean; both
+	// stay 0 when none converged.
 	xs := make([]float64, 0, len(trials))
-	pt.Min, pt.Max = trials[0].Interactions, trials[0].Interactions
 	for _, tr := range trials {
 		if !tr.Converged {
 			pt.Unconverged++
 			continue
 		}
-		xs = append(xs, float64(tr.Interactions))
-		if tr.Interactions < pt.Min {
+		if len(xs) == 0 || tr.Interactions < pt.Min {
 			pt.Min = tr.Interactions
 		}
 		if tr.Interactions > pt.Max {
 			pt.Max = tr.Interactions
 		}
+		xs = append(xs, float64(tr.Interactions))
 	}
 	pt.Mean = meanOf(xs)
 	pt.CI95 = ci95Of(xs)

@@ -96,24 +96,37 @@ func TestRunManySurfacesErrors(t *testing.T) {
 }
 
 func TestAggregateBasics(t *testing.T) {
-	trials := []TrialResult{
-		{Interactions: 100, Converged: true},
-		{Interactions: 200, Converged: true},
-		{Interactions: 300, Converged: true},
-		{Interactions: 5, Converged: false},
+	for _, trials := range [][]TrialResult{
+		{
+			{Interactions: 100, Converged: true},
+			{Interactions: 200, Converged: true},
+			{Interactions: 300, Converged: true},
+			{Interactions: 5, Converged: false},
+		},
+		// An unconverged first trial must not seed Min/Max: they range
+		// over the converged trials, like Mean.
+		{
+			{Interactions: 5000, Converged: false},
+			{Interactions: 100, Converged: true},
+			{Interactions: 300, Converged: true},
+		},
+	} {
+		pt := Aggregate(12, 4, trials)
+		if pt.Mean != 200 {
+			t.Fatalf("mean %v", pt.Mean)
+		}
+		if pt.Unconverged != 1 {
+			t.Fatalf("unconverged %d", pt.Unconverged)
+		}
+		if pt.Min != 100 || pt.Max != 300 {
+			t.Fatalf("min/max %d %d", pt.Min, pt.Max)
+		}
+		if pt.CI95 <= 0 {
+			t.Fatal("zero CI for dispersed sample")
+		}
 	}
-	pt := Aggregate(12, 4, trials)
-	if pt.Mean != 200 {
-		t.Fatalf("mean %v", pt.Mean)
-	}
-	if pt.Unconverged != 1 {
-		t.Fatalf("unconverged %d", pt.Unconverged)
-	}
-	if pt.Min != 100 || pt.Max != 300 {
-		t.Fatalf("min/max %d %d", pt.Min, pt.Max)
-	}
-	if pt.CI95 <= 0 {
-		t.Fatal("zero CI for dispersed sample")
+	if pt := Aggregate(12, 4, []TrialResult{{Interactions: 5000}}); pt.Min != 0 || pt.Max != 0 {
+		t.Fatalf("no converged trial: min/max %d %d, want 0 0", pt.Min, pt.Max)
 	}
 }
 

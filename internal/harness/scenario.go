@@ -38,8 +38,6 @@ import (
 
 	"repro/internal/checkpoint"
 	"repro/internal/core"
-	"repro/internal/obs"
-	"repro/internal/obs/span"
 	"repro/internal/population"
 	"repro/internal/protocol"
 	"repro/internal/rng"
@@ -452,26 +450,6 @@ func applyChurn(states []protocol.State, c ChurnSpec, p *core.Protocol, r *rng.R
 	return states
 }
 
-// targetSatisfied reports whether the canonicalized state counts of pop
-// match the stable signature for its current size.
-func targetSatisfied(p *core.Protocol, pop *population.Population) bool {
-	target, err := p.TargetCounts(pop.N())
-	if err != nil {
-		return false
-	}
-	canon := p.CanonMap()
-	cur := make([]int, len(target))
-	for st, c := range pop.CountsView() {
-		cur[canon[st]] += c
-	}
-	for i := range cur {
-		if cur[i] != target[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // runScenarioTrial executes a scenario trial on the agent engine. The
 // run is segmented at the churn schedule's interaction counts: each
 // segment runs under a freshly built scheduler for the segment's
@@ -482,8 +460,26 @@ func targetSatisfied(p *core.Protocol, pop *population.Population) bool {
 // restricted graph, when the configuration group-freezes
 // (topology.FrozenCondition with the protocol's parity orbits), which
 // is how the star-graph freeze surfaces as Frozen=true rather than a
-// burned interaction cap.
+// burned interaction cap. One trial watch spans every segment, so
+// progress and #gk milestones run on the trial's cumulative clock.
 func runScenarioTrial(ctx context.Context, p *core.Protocol, spec TrialSpec, ropts RunOptions) (TrialResult, error) {
+	w := newTrialWatch(ctx, p, spec, "engine/scenario", ropts)
+	w.espan.SetAttr("topology", spec.Topology.String()).
+		SetAttr("fairness", spec.Fairness.String()).
+		SetAttr("churn", spec.Churn.String())
+	pop, stopped, converged, err := runSegments(ctx, p, spec, w)
+	res, err := w.finish(pop.Interactions(), pop.Productive(), converged, pop.Spread(), err)
+	if err == nil {
+		res.Frozen = stopped && !converged
+		res.FinalN = pop.N()
+	}
+	return res, err
+}
+
+// runSegments runs a scenario trial's segments under w and returns the
+// final population, whether the final segment's stop condition fired,
+// and whether the population ended on its stable signature.
+func runSegments(ctx context.Context, p *core.Protocol, spec TrialSpec, w *trialWatch) (pop *population.Population, stopped, converged bool, err error) {
 	maxI := spec.MaxInteractions
 	// The churn event times inside the run's budget, ascending.
 	var events []uint64
@@ -494,40 +490,21 @@ func runScenarioTrial(ctx context.Context, p *core.Protocol, spec TrialSpec, rop
 			t += spec.Churn.Interval
 		}
 	}
-	espan := span.FromContext(ctx).Child("engine/scenario")
-	if espan != nil {
-		espan.SetAttr("topology", spec.Topology.String()).
-			SetAttr("fairness", spec.Fairness.String()).
-			SetAttr("churn", spec.Churn.String())
-	}
-	endSpan := func(pop *population.Population) {
-		if espan != nil {
-			espan.SetSeq(0, pop.Interactions()).
-				SetAttr("interactions", fmt.Sprint(pop.Interactions())).
-				SetAttr("productive", fmt.Sprint(pop.Productive()))
-			espan.End()
-		}
-	}
-
-	pop := population.New(p, spec.N)
+	pop = population.New(p, spec.N)
 	churnRNG := rng.New(rng.StreamSeed(spec.Seed, churnStreamTag, 0))
-	var gc *sim.GroupingCounter
-
+	opts := sim.Options{Ctx: ctx, Hooks: w.hooks()}
 	for segment := 0; ; segment++ {
 		s, g, err := scenarioScheduler(spec, p, pop.N(), uint64(segment))
 		if err != nil {
-			endSpan(pop)
-			return TrialResult{}, err
+			return pop, false, false, err
+		}
+		if w.prog != nil {
+			w.prog.Label = fmt.Sprintf("n=%d k=%d seed=%#x seg=%d", pop.N(), spec.K, spec.Seed, segment)
 		}
 		final := segment >= len(events)
 		var stop sim.StopCondition = sim.Never{}
-		opts := sim.Options{MaxInteractions: maxI, Ctx: ctx}
-		if ropts.Progress > 0 {
-			opts.Hooks = append(opts.Hooks, &obs.Progress{
-				Every: ropts.Progress,
-				Label: fmt.Sprintf("n=%d k=%d seed=%#x seg=%d", pop.N(), spec.K, spec.Seed, segment),
-			})
-		}
+		var ct *sim.CountTarget
+		opts.MaxInteractions = maxI
 		if !final {
 			// Pre-churn segments run to the event time regardless of the
 			// configuration: churn strikes on the clock, converged or not.
@@ -535,10 +512,9 @@ func runScenarioTrial(ctx context.Context, p *core.Protocol, spec TrialSpec, rop
 		} else {
 			target, terr := p.TargetCounts(pop.N())
 			if terr != nil {
-				endSpan(pop)
-				return TrialResult{}, fmt.Errorf("%w: %v", ErrInvalidSpec, terr)
+				return pop, false, false, fmt.Errorf("%w: %v", ErrInvalidSpec, terr)
 			}
-			ct := sim.NewCountTarget(p.CanonMap(), target)
+			ct = sim.NewCountTarget(p.CanonMap(), target)
 			// Freeze detection terminates runs that can never reach the
 			// target: always on restricted graphs (the star/ring freeze),
 			// and on the complete graph too once churn has struck — a crash
@@ -549,8 +525,7 @@ func runScenarioTrial(ctx context.Context, p *core.Protocol, spec TrialSpec, rop
 			if fg == nil && spec.Churn.Enabled() {
 				cg, cerr := topology.Complete(pop.N())
 				if cerr != nil {
-					endSpan(pop)
-					return TrialResult{}, cerr
+					return pop, false, false, cerr
 				}
 				fg = cg
 			}
@@ -559,40 +534,21 @@ func runScenarioTrial(ctx context.Context, p *core.Protocol, spec TrialSpec, rop
 			} else {
 				stop = ct
 			}
-			if spec.Grouping {
-				gc = &sim.GroupingCounter{Watch: p.G(spec.K)}
-				opts.Hooks = append(opts.Hooks, gc)
-			}
 		}
 		segStart := pop.Interactions()
 		res, err := sim.Run(pop, s, stop, opts)
-		if espan != nil {
-			espan.Child("segment").
+		if w.espan != nil {
+			w.espan.Child("segment").
 				SetAttr("index", fmt.Sprint(segment)).
 				SetAttr("n", fmt.Sprint(pop.N())).
 				SetSeq(segStart, pop.Interactions()).
 				End()
 		}
 		if err != nil {
-			endSpan(pop)
-			return TrialResult{}, err
+			return pop, false, false, err
 		}
 		if final {
-			converged := targetSatisfied(p, pop)
-			out := TrialResult{
-				Spec:         spec,
-				Interactions: res.Interactions,
-				Productive:   res.Productive,
-				Converged:    converged,
-				Spread:       res.Spread(),
-				Frozen:       res.Converged && !converged,
-				FinalN:       pop.N(),
-			}
-			if gc != nil {
-				out.Marks = append([]uint64(nil), gc.Marks...)
-			}
-			endSpan(pop)
-			return out, nil
+			return pop, res.Converged, ct.Matches(pop.CountsView()), nil
 		}
 		// Churn batch: capture the run, rewrite the agent roster, restore
 		// under the next segment's scheduler. Counters (and therefore the
@@ -601,15 +557,13 @@ func runScenarioTrial(ctx context.Context, p *core.Protocol, spec TrialSpec, rop
 		// the snapshot we edit here.
 		snap, err := checkpoint.Capture(pop, s)
 		if err != nil {
-			endSpan(pop)
-			return TrialResult{}, err
+			return pop, false, false, err
 		}
 		snap.States = applyChurn(snap.States, spec.Churn, p, churnRNG)
 		snap.RNGState = nil // the next segment's scheduler gets a fresh derived seed
 		next, err := checkpoint.Restore(p, s, snap)
 		if err != nil {
-			endSpan(pop)
-			return TrialResult{}, fmt.Errorf("harness: churn event %d: %w", segment+1, err)
+			return pop, false, false, fmt.Errorf("harness: churn event %d: %w", segment+1, err)
 		}
 		pop = next
 	}

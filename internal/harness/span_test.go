@@ -71,13 +71,26 @@ func TestTrialSpanTreeDeterministic(t *testing.T) {
 // its parent's (where both are stamped).
 func TestTrialSpanTreeShape(t *testing.T) {
 	for _, tc := range []struct {
-		engine Engine
-		eng    string
+		spec TrialSpec
+		eng  string
+		// want counts the spans beyond request, trial, attempt and the
+		// engine span (one each).
+		want map[string]int
 	}{
-		{EngineAgent, "engine/agent"},
-		{EngineCount, "engine/count"},
+		// n=24, k=4 converges to exactly 6 complete groupings; at this
+		// size the batch engine runs its sequential fallback, so its
+		// predicate sees every milestone too.
+		{TrialSpec{N: 24, K: 4, Seed: 7, Engine: EngineAgent}, "engine/agent", map[string]int{"phase/grouping": 6}},
+		{TrialSpec{N: 24, K: 4, Seed: 7, Engine: EngineCount}, "engine/count", map[string]int{"phase/grouping": 6}},
+		{TrialSpec{N: 24, K: 4, Seed: 7, Engine: EngineBatch}, "engine/batch", map[string]int{"phase/grouping": 6}},
+		// Graceful churn on the complete graph: 15 agents, 3 free ones
+		// leave at interaction 20, and the 12 survivors settle into 4
+		// groups. The phases run on the trial's cumulative clock across
+		// both segments.
+		{TrialSpec{N: 15, K: 3, Seed: 3, MaxInteractions: 5_000_000, Churn: ChurnSpec{At: 20, Events: 1, Leaves: 3}},
+			"engine/scenario", map[string]int{"segment": 2, "phase/grouping": 4}},
 	} {
-		spec := TrialSpec{N: 24, K: 4, Seed: 7, Engine: tc.engine}
+		spec := tc.spec
 		spans := traceTrial(t, spec)
 
 		byID := make(map[string]span.Span)
@@ -86,37 +99,39 @@ func TestTrialSpanTreeShape(t *testing.T) {
 			byID[s.ID] = s
 			count[s.Name]++
 		}
-		// n=24, k=4 converges to exactly 6 complete groupings.
-		want := map[string]int{"request": 1, "trial": 1, "attempt": 1, tc.eng: 1, "phase/grouping": 6}
+		want := map[string]int{"request": 1, "trial": 1, "attempt": 1, tc.eng: 1}
+		for name, n := range tc.want {
+			want[name] = n
+		}
 		for name, n := range want {
 			if count[name] != n {
-				t.Errorf("engine %v: %d %q spans, want %d (all: %v)", tc.engine, count[name], name, n, count)
+				t.Errorf("engine %v: %d %q spans, want %d (all: %v)", tc.eng, count[name], name, n, count)
 			}
 		}
 
 		for _, s := range spans {
 			if s.Parent == "" {
 				if s.Name != "request" {
-					t.Errorf("engine %v: root span is %q, want request", tc.engine, s.Name)
+					t.Errorf("engine %v: root span is %q, want request", tc.eng, s.Name)
 				}
 				continue
 			}
 			p, ok := byID[s.Parent]
 			if !ok {
-				t.Errorf("engine %v: span %s/%s has missing parent %s", tc.engine, s.ID, s.Name, s.Parent)
+				t.Errorf("engine %v: span %s/%s has missing parent %s", tc.eng, s.ID, s.Name, s.Parent)
 				continue
 			}
 			if s.EndSeq > 0 && p.EndSeq > 0 {
 				if s.StartSeq < p.StartSeq || s.EndSeq > p.EndSeq {
 					t.Errorf("engine %v: %q seq [%d,%d] escapes parent %q [%d,%d]",
-						tc.engine, s.Name, s.StartSeq, s.EndSeq, p.Name, p.StartSeq, p.EndSeq)
+						tc.eng, s.Name, s.StartSeq, s.EndSeq, p.Name, p.StartSeq, p.EndSeq)
 				}
 			}
 			if s.WallDurUS > 0 && p.WallDurUS > 0 {
 				if s.WallStartUS < p.WallStartUS ||
 					s.WallStartUS+s.WallDurUS > p.WallStartUS+p.WallDurUS {
 					t.Errorf("engine %v: %q wall [%d,+%d] escapes parent %q [%d,+%d]",
-						tc.engine, s.Name, s.WallStartUS, s.WallDurUS, p.Name, p.WallStartUS, p.WallDurUS)
+						tc.eng, s.Name, s.WallStartUS, s.WallDurUS, p.Name, p.WallStartUS, p.WallDurUS)
 				}
 			}
 		}
@@ -132,10 +147,13 @@ func TestTrialSpanTreeShape(t *testing.T) {
 		var prev uint64
 		for i, ph := range phases {
 			if ph.StartSeq != prev {
-				t.Errorf("engine %v: phase %d starts at %d, want %d (contiguous)", tc.engine, i+1, ph.StartSeq, prev)
+				t.Errorf("engine %v: phase %d starts at %d, want %d (contiguous)", tc.eng, i+1, ph.StartSeq, prev)
 			}
 			if ph.EndSeq < ph.StartSeq {
-				t.Errorf("engine %v: phase %d interval inverted", tc.engine, i+1)
+				t.Errorf("engine %v: phase %d interval inverted", tc.eng, i+1)
+			}
+			if parent := byID[ph.Parent].Name; parent != tc.eng {
+				t.Errorf("engine %v: phase %d nests under %q, want the engine span", tc.eng, i+1, parent)
 			}
 			prev = ph.EndSeq
 		}

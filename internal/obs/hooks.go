@@ -105,8 +105,10 @@ func (t *PhaseTimer) Init(pop *population.Population) {
 
 // OnStep implements sim.Hook.
 func (t *PhaseTimer) OnStep(pop *population.Population, s sim.StepInfo) {
-	t.gc.OnStep(pop, s)
-	t.record()
+	if s.Changed {
+		t.gc.Observe(pop.Count(t.Watch), pop.Interactions())
+		t.record()
+	}
 }
 
 // record flushes any new grouping marks into the histograms.

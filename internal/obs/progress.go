@@ -21,8 +21,7 @@ import (
 // set of reporting points is therefore deterministic for a given seed,
 // so verbose runs stay reproducible line-for-line (only the
 // rate/ETA fields depend on the machine). Progress is both a sim.Hook
-// (agent engine) and a plain MaybeReport method for count-based engines
-// that have no step hooks.
+// and a plain MaybeReport method for callers that drive it themselves.
 type Progress struct {
 	// W receives report lines; nil means os.Stderr.
 	W io.Writer
@@ -72,10 +71,12 @@ func (p *Progress) OnStep(pop *population.Population, s sim.StepInfo) {
 	p.report(pop.Interactions(), pop.Productive(), pop.Spread())
 }
 
-// MaybeReport is the hook-less entry point for engines that advance the
-// interaction count in jumps (internal/countsim): it reports once when
-// interactions has reached the next multiple of Every. spread is a
-// thunk so callers only pay for group-size computation on report lines.
+// MaybeReport is the hook-less entry point for callers that observe a
+// run themselves (the harness's trial watch, on every engine, including
+// internal/countsim's, which advance the interaction count in jumps): it
+// reports once when interactions has reached the next multiple of Every.
+// spread is a thunk so callers only pay for group-size computation on
+// report lines.
 func (p *Progress) MaybeReport(interactions, productive uint64, spread func() int) {
 	if p.next == 0 {
 		p.reset(0)

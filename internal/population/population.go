@@ -139,8 +139,13 @@ func (pop *Population) GroupSizes() []int {
 
 // Spread returns max group size minus min group size at the current
 // configuration; a uniform partition has Spread <= 1.
-func (pop *Population) Spread() int {
-	sizes := pop.GroupSizes()
+func (pop *Population) Spread() int { return SpreadOf(pop.GroupSizes()) }
+
+// SpreadOf returns max−min of a group-size vector (0 for an empty one).
+func SpreadOf(sizes []int) int {
+	if len(sizes) == 0 {
+		return 0
+	}
 	min, max := sizes[0], sizes[0]
 	for _, v := range sizes[1:] {
 		if v < min {

@@ -30,6 +30,7 @@ type CountTarget struct {
 	target   []int // slot -> wanted count
 	cur      []int // slot -> current count
 	mismatch int
+	scratch  []int // Matches' slot counts
 }
 
 // NewCountTarget builds the detector. canon maps every dense state to a
@@ -75,6 +76,31 @@ func (c *CountTarget) move(from, to protocol.State) {
 	if c.cur[b] == c.target[b] {
 		c.mismatch--
 	}
+}
+
+// Matches reports whether a state-count vector, canonicalized, equals
+// the target. It is the from-scratch form of the check, for callers that
+// hold counts rather than drive Step (the count engines' stop predicate,
+// a final verdict after a run); it leaves the incremental state alone.
+func (c *CountTarget) Matches(counts []int) bool {
+	if c.scratch == nil {
+		c.scratch = make([]int, len(c.target))
+	}
+	// Locals keep the slice headers in registers: the count engines call
+	// this on every productive step.
+	scratch, canon, target := c.scratch, c.canon, c.target
+	for i := range scratch {
+		scratch[i] = 0
+	}
+	for s, n := range counts {
+		scratch[canon[s]] += n
+	}
+	for i, n := range scratch {
+		if n != target[i] {
+			return false
+		}
+	}
+	return true
 }
 
 // Step implements StopCondition.

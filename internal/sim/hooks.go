@@ -28,22 +28,24 @@ type GroupingCounter struct {
 // Init implements Hook.
 func (g *GroupingCounter) Init(pop *population.Population) {
 	g.Marks = g.Marks[:0]
-	g.best = pop.Count(g.Watch)
-	for i := 0; i < g.best; i++ {
-		g.Marks = append(g.Marks, pop.Interactions())
-	}
+	g.best = 0
+	g.Observe(pop.Count(g.Watch), pop.Interactions())
 }
 
 // OnStep implements Hook.
 func (g *GroupingCounter) OnStep(pop *population.Population, s StepInfo) {
-	if !s.Changed {
-		return
+	if s.Changed {
+		g.Observe(pop.Count(g.Watch), pop.Interactions())
 	}
-	if c := pop.Count(g.Watch); c > g.best {
-		for i := g.best; i < c; i++ {
-			g.Marks = append(g.Marks, pop.Interactions())
-		}
-		g.best = c
+}
+
+// Observe records that the watched count is count after at interactions:
+// each unit it rises past its previous maximum appends one mark at. It
+// is the engine-neutral entry point: the hook methods feed it from a
+// population, callers driving a count engine from its count vector.
+func (g *GroupingCounter) Observe(count int, at uint64) {
+	for ; g.best < count; g.best++ {
+		g.Marks = append(g.Marks, at)
 	}
 }
 

@@ -91,21 +91,7 @@ type Result struct {
 }
 
 // Spread returns max−min of the final group sizes.
-func (r Result) Spread() int {
-	if len(r.GroupSizes) == 0 {
-		return 0
-	}
-	min, max := r.GroupSizes[0], r.GroupSizes[0]
-	for _, v := range r.GroupSizes[1:] {
-		if v < min {
-			min = v
-		}
-		if v > max {
-			max = v
-		}
-	}
-	return max - min
-}
+func (r Result) Spread() int { return population.SpreadOf(r.GroupSizes) }
 
 // ErrInvariant wraps invariant-check failures reported by Run.
 var ErrInvariant = errors.New("sim: invariant violated")

@@ -165,6 +165,9 @@ func TestCountTargetIncrementalMatchesRecompute(t *testing.T) {
 		if fired != recompute() {
 			t.Fatalf("incremental detector diverged at step %d", i)
 		}
+		if ct.Matches(pop.CountsView()) != fired {
+			t.Fatalf("Matches diverged from the incremental detector at step %d", i)
+		}
 		if fired {
 			return // reached stability and detector agreed throughout
 		}
