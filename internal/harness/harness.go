@@ -102,8 +102,10 @@ type TrialResult struct {
 	// agent's group again) WITHOUT reaching the uniform target — the
 	// star-graph failure mode, surfaced as data rather than a timeout.
 	Frozen bool `json:",omitempty"`
-	// FinalN is the population size at the end of a churn run (0 when
-	// the population never changed).
+	// FinalN is the population size at the end of a scenario trial (a
+	// restricted topology, weak fairness or churn; see HasScenario) — N
+	// itself unless churn changed it. It is 0, and omitted, for trials
+	// without a scenario.
 	FinalN int `json:",omitempty"`
 }
 

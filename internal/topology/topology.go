@@ -32,6 +32,9 @@ type Graph struct {
 	edges [][2]int
 	adj   [][]int
 	name  string
+	// complete marks K_n, on which GroupFrozen checks state pairs
+	// instead of edges.
+	complete bool
 }
 
 // newGraph validates and indexes an edge list.
@@ -119,7 +122,12 @@ func Complete(n int) (*Graph, error) {
 			edges = append(edges, [2]int{i, j})
 		}
 	}
-	return newGraph(fmt.Sprintf("complete-%d", n), n, edges)
+	g, err := newGraph(fmt.Sprintf("complete-%d", n), n, edges)
+	if err != nil {
+		return nil, err
+	}
+	g.complete = true
+	return g, nil
 }
 
 // Ring returns the n-cycle.
@@ -264,10 +272,45 @@ func SingletonOrbits(s protocol.State) []protocol.State {
 // orbit-expanded GROUP preservation misses rule 10 — (d1, g1) → (initial,
 // initial) keeps everyone in group 1 yet frees two agents whose later
 // rule 5 changes groups. Requiring closure into the orbits rejects both.
+//
+// On the complete graph every ordered pair of distinct agents is an edge
+// orientation, so the criterion depends only on which states are present
+// (and, for a pair of equal states, on two agents holding it): the check
+// runs over the count vector in O(S²·orbit²) instead of over n(n−1)/2
+// edges.
 func GroupFrozen(pop *population.Population, g *Graph, p protocol.Protocol, orbits Orbits) bool {
 	if orbits == nil {
 		orbits = SingletonOrbits
 	}
+	if g.complete {
+		counts := pop.CountsView()
+		for sa, ca := range counts {
+			if ca == 0 {
+				continue
+			}
+			for sb, cb := range counts {
+				if cb == 0 || (sa == sb && ca < 2) {
+					continue
+				}
+				if !pairClosed(protocol.State(sa), protocol.State(sb), p, orbits) {
+					return false
+				}
+			}
+		}
+		return true
+	}
+	for _, e := range g.edges {
+		if !pairClosed(pop.State(e[0]), pop.State(e[1]), p, orbits) ||
+			!pairClosed(pop.State(e[1]), pop.State(e[0]), p, orbits) {
+			return false
+		}
+	}
+	return true
+}
+
+// pairClosed reports whether every interaction of an initiator in sa's
+// orbit with a responder in sb's orbit maps each back into its own orbit.
+func pairClosed(sa, sb protocol.State, p protocol.Protocol, orbits Orbits) bool {
 	inOrbit := func(s, of protocol.State) bool {
 		for _, o := range orbits(of) {
 			if s == o {
@@ -276,16 +319,11 @@ func GroupFrozen(pop *population.Population, g *Graph, p protocol.Protocol, orbi
 		}
 		return false
 	}
-	for _, e := range g.edges {
-		for _, dir := range [2][2]int{{e[0], e[1]}, {e[1], e[0]}} {
-			sa, sb := pop.State(dir[0]), pop.State(dir[1])
-			for _, a := range orbits(sa) {
-				for _, b := range orbits(sb) {
-					out, _ := p.Delta(a, b)
-					if !inOrbit(out.P, sa) || !inOrbit(out.Q, sb) {
-						return false
-					}
-				}
+	for _, a := range orbits(sa) {
+		for _, b := range orbits(sb) {
+			out, _ := p.Delta(a, b)
+			if !inOrbit(out.P, sa) || !inOrbit(out.Q, sb) {
+				return false
 			}
 		}
 	}
@@ -293,8 +331,8 @@ func GroupFrozen(pop *population.Population, g *Graph, p protocol.Protocol, orbi
 }
 
 // FrozenCondition is a sim.StopCondition that fires when the configuration
-// is group-frozen on the graph. The scan is O(E·orbit²) and runs only on
-// steps that changed a state.
+// is group-frozen on the graph. The scan is O(E·orbit²) — O(S²·orbit²)
+// on the complete graph — and runs only on steps that changed a state.
 type FrozenCondition struct {
 	G      *Graph
 	Proto  protocol.Protocol

@@ -165,6 +165,51 @@ func TestGroupFrozenCriterion(t *testing.T) {
 	}
 }
 
+// On the complete graph GroupFrozen checks state pairs over the count
+// vector; it must agree with the edge scan over the same graph (built
+// without the complete mark) on random configurations. Drawing each
+// configuration's states from a small random subset makes frozen and
+// unfrozen outcomes both common.
+func TestGroupFrozenCompleteMatchesEdgeScan(t *testing.T) {
+	r := rng.New(0xF0)
+	outcomes := map[bool]int{}
+	for trial := 0; trial < 3000; trial++ {
+		k := 2 + r.Intn(4)
+		p := core.MustNew(k)
+		n := 2 + r.Intn(9)
+		subset := make([]protocol.State, 1+r.Intn(3))
+		for i := range subset {
+			subset[i] = protocol.State(r.Intn(p.NumStates()))
+		}
+		states := make([]protocol.State, n)
+		for i := range states {
+			states[i] = subset[r.Intn(len(subset))]
+		}
+		pop := population.FromStates(p, states)
+		kn, err := Complete(n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var edges [][2]int
+		for i := 0; i < kn.NumEdges(); i++ {
+			u, v := kn.Edge(i)
+			edges = append(edges, [2]int{u, v})
+		}
+		scan, err := newGraph("complete-edges", n, edges)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, want := GroupFrozen(pop, kn, p, p.ParityOrbit), GroupFrozen(pop, scan, p, p.ParityOrbit)
+		if got != want {
+			t.Fatalf("k=%d states %v: count check %v, edge scan %v", k, states, got, want)
+		}
+		outcomes[got]++
+	}
+	if outcomes[true] < 100 || outcomes[false] < 100 {
+		t.Fatalf("outcomes too lopsided to compare the checks: %v", outcomes)
+	}
+}
+
 // THE negative result: on a star, the k-partition protocol can freeze in a
 // NON-uniform partition (an m-head stranded on a leaf facing a committed
 // hub can never meet another m or a free agent). Verified across seeds:

@@ -344,137 +344,186 @@ const (
 	denseLevelCap = 800
 )
 
-// solveLevel solves one level's linear system
+// levelSystem is one #gk level's linear system over its transient nodes
 //
 //	outMass_i·x_i − Σ_{j ∈ level, transient} P_ij·x_j = rhs_i
 //
-// (or its transpose, for the forward occupancy pass) for the transient
-// node ids in trans, writing results into the global x slice. rhs is
-// indexed like trans.
-func (ch *lchain) solveLevel(trans []int, rhs []float64, x []float64, transpose bool) error {
-	m := len(trans)
-	if m == 0 {
-		return nil
-	}
-	local := make(map[int]int, m)
-	for li, id := range trans {
-		local[id] = li
-	}
-	if m <= denseLevelCap {
-		// Dense LU with partial pivoting. The diagonal is the exact
-		// out-mass; off-diagonals are the negated in-level transition
-		// probabilities between transient nodes.
-		A := make([][]float64, m)
-		b := make([]float64, m)
-		for li, id := range trans {
-			A[li] = make([]float64, m)
-			A[li][li] = ch.outMass[id]
-			b[li] = rhs[li]
-		}
-		for li, id := range trans {
-			lvl := level(ch.nodes[id])
-			for _, e := range ch.out[id] {
-				if level(ch.nodes[e.To]) != lvl {
-					continue
-				}
-				if lj, ok := local[e.To]; ok {
-					if transpose {
-						A[lj][li] -= e.P
-					} else {
-						A[li][lj] -= e.P
-					}
-				}
-			}
-		}
-		sol, err := denseSolve(A, b)
-		if err != nil {
-			return err
-		}
-		for li, id := range trans {
-			x[id] = sol[li]
-		}
-		return nil
-	}
-	// Gauss–Seidel fallback for large levels.
-	var in [][]ledge
-	if transpose {
-		in = make([][]ledge, m)
-		for li, id := range trans {
-			lvl := level(ch.nodes[id])
-			for _, e := range ch.out[id] {
-				if level(ch.nodes[e.To]) != lvl {
-					continue
-				}
-				if lj, ok := local[e.To]; ok {
-					in[lj] = append(in[lj], ledge{To: li, P: e.P})
-				}
-			}
-		}
-	}
-	for iter := 0; iter < lumpedMaxIter; iter++ {
-		var maxDelta, maxX float64
-		for li, id := range trans {
-			sum := rhs[li]
-			if transpose {
-				for _, e := range in[li] {
-					sum += e.P * x[trans[e.To]]
-				}
-			} else {
-				lvl := level(ch.nodes[id])
-				for _, e := range ch.out[id] {
-					if level(ch.nodes[e.To]) == lvl {
-						if _, ok := local[e.To]; ok {
-							sum += e.P * x[e.To]
-						}
-					}
-				}
-			}
-			denom := ch.outMass[id]
-			if denom <= 0 {
-				return fmt.Errorf("twin: node %d is fully self-looping", id)
-			}
-			v := sum / denom
-			if d := math.Abs(v - x[id]); d > maxDelta {
-				maxDelta = d
-			}
-			if a := math.Abs(v); a > maxX {
-				maxX = a
-			}
-			x[id] = v
-		}
-		if maxDelta < lumpedTol*(1+maxX) {
-			return nil
-		}
-	}
-	return fmt.Errorf("twin: level with %d nodes did not converge in %d sweeps", m, lumpedMaxIter)
+// (or its transpose, for the forward occupancy pass), assembled once per
+// pass and solved for every right-hand side the pass needs. Only edges
+// between the level's transient nodes enter it, as a CSR matrix in local
+// indices (position in trans). Each row keeps its node's out-edge order,
+// and each transposed row the order its edges are met walking trans, so
+// every float sum runs in one fixed order. A level of at most
+// denseLevelCap nodes replaces the CSR form by its LU factors.
+type levelSystem struct {
+	trans []int     // global node ids, in local-index order
+	den   []float64 // out-mass per local node: the diagonal
+	// Row li's off-diagonal entries are −ps[ptr[li]:ptr[li+1]] at local
+	// columns cols[ptr[li]:ptr[li+1]]; nil once factored.
+	ptr  []int
+	cols []int32
+	ps   []float64
+	// LU factors with partial pivoting: U on and above the diagonal, the
+	// elimination multipliers below it, and the pivot row chosen for
+	// each column.
+	lu  [][]float64
+	piv []int
 }
 
-// denseSolve is Gaussian elimination with partial pivoting, in place.
-func denseSolve(A [][]float64, b []float64) ([]float64, error) {
-	m := len(A)
-	for col := 0; col < m; col++ {
-		piv := col
-		for r := col + 1; r < m; r++ {
-			if math.Abs(A[r][col]) > math.Abs(A[piv][col]) {
-				piv = r
+// localIndex returns a node → local-index table with every entry −1. One
+// table serves a whole pass: assemble fills in its level's transient
+// nodes and clears them again.
+func (ch *lchain) localIndex() []int32 {
+	loc := make([]int32, len(ch.nodes))
+	for i := range loc {
+		loc[i] = -1
+	}
+	return loc
+}
+
+// newLevelSystem assembles the system over trans (one level's transient
+// nodes) and, when the level fits denseLevelCap, factors it.
+func (ch *lchain) newLevelSystem(trans []int, loc []int32, transpose bool) (*levelSystem, error) {
+	ls := ch.assemble(trans, loc, transpose)
+	if len(trans) <= denseLevelCap {
+		if err := ls.factor(); err != nil {
+			return nil, err
+		}
+		return ls, nil
+	}
+	for li, d := range ls.den {
+		if d <= 0 {
+			return nil, fmt.Errorf("twin: node %d is fully self-looping", trans[li])
+		}
+	}
+	return ls, nil
+}
+
+// assemble builds the CSR form. Transitions never descend a level, so an
+// edge whose target has a local index is exactly an edge between two of
+// the level's transient nodes.
+func (ch *lchain) assemble(trans []int, loc []int32, transpose bool) *levelSystem {
+	m := len(trans)
+	for li, id := range trans {
+		loc[id] = int32(li)
+	}
+	ls := &levelSystem{trans: trans, den: make([]float64, m), ptr: make([]int, m+1)}
+	for li, id := range trans {
+		ls.den[li] = ch.outMass[id]
+		for _, e := range ch.out[id] {
+			if lj := loc[e.To]; lj >= 0 {
+				row := li
+				if transpose {
+					row = int(lj)
+				}
+				ls.ptr[row+1]++
 			}
 		}
-		if A[piv][col] == 0 {
-			return nil, fmt.Errorf("twin: singular level system at column %d", col)
+	}
+	for li := 0; li < m; li++ {
+		ls.ptr[li+1] += ls.ptr[li]
+	}
+	ls.cols = make([]int32, ls.ptr[m])
+	ls.ps = make([]float64, ls.ptr[m])
+	next := append([]int(nil), ls.ptr[:m]...)
+	for li, id := range trans {
+		for _, e := range ch.out[id] {
+			lj := loc[e.To]
+			if lj < 0 {
+				continue
+			}
+			row, col := li, lj
+			if transpose {
+				row, col = int(lj), int32(li)
+			}
+			ls.cols[next[row]] = col
+			ls.ps[next[row]] = e.P
+			next[row]++
 		}
-		A[col], A[piv] = A[piv], A[col]
-		b[col], b[piv] = b[piv], b[col]
+	}
+	for _, id := range trans {
+		loc[id] = -1
+	}
+	return ls
+}
+
+// factor replaces the CSR form by dense LU factors: Gaussian elimination
+// with partial pivoting, keeping each multiplier in the entry it zeroes
+// and each column's pivot row, so solveDense can replay on any
+// right-hand side exactly the operations the elimination applies to it.
+func (ls *levelSystem) factor() error {
+	m := len(ls.trans)
+	A := make([][]float64, m)
+	flat := make([]float64, m*m)
+	for li := range A {
+		A[li] = flat[li*m : (li+1)*m : (li+1)*m]
+		A[li][li] = ls.den[li]
+		for k := ls.ptr[li]; k < ls.ptr[li+1]; k++ {
+			A[li][ls.cols[k]] -= ls.ps[k]
+		}
+	}
+	ls.ptr, ls.cols, ls.ps = nil, nil, nil
+	piv := make([]int, m)
+	for col := 0; col < m; col++ {
+		p := col
+		for r := col + 1; r < m; r++ {
+			if math.Abs(A[r][col]) > math.Abs(A[p][col]) {
+				p = r
+			}
+		}
+		if A[p][col] == 0 {
+			return fmt.Errorf("twin: singular level system at column %d", col)
+		}
+		piv[col] = p
+		A[col], A[p] = A[p], A[col]
 		inv := 1 / A[col][col]
+		pivRow := A[col][col+1:]
 		for r := col + 1; r < m; r++ {
 			f := A[r][col] * inv
+			A[r][col] = f
 			if f == 0 {
 				continue
 			}
-			A[r][col] = 0
-			for c := col + 1; c < m; c++ {
-				A[r][c] -= f * A[col][c]
+			row := A[r][col+1:]
+			row = row[:len(pivRow)]
+			for c, v := range pivRow {
+				row[c] -= f * v
 			}
-			b[r] -= f * b[col]
+		}
+	}
+	ls.lu, ls.piv = A, piv
+	return nil
+}
+
+// solve solves the system for rhs (indexed like trans, and clobbered),
+// writing the solution into the global x. The Gauss–Seidel sweeps start
+// from x's current values.
+func (ls *levelSystem) solve(rhs, x []float64) error {
+	if ls.lu != nil {
+		ls.solveDense(rhs)
+		for li, id := range ls.trans {
+			x[id] = rhs[li]
+		}
+		return nil
+	}
+	return ls.gaussSeidel(rhs, x)
+}
+
+// solveDense overwrites b with the solution from the LU factors. All row
+// swaps go first: the elimination only ever subtracts multiples of
+// earlier pivot rows, so each row meets the same operands, in the same
+// order, as when the swaps were interleaved with elimination.
+func (ls *levelSystem) solveDense(b []float64) {
+	A, m := ls.lu, len(ls.lu)
+	for col, p := range ls.piv {
+		b[col], b[p] = b[p], b[col]
+	}
+	for col := 0; col < m; col++ {
+		bc := b[col]
+		for r := col + 1; r < m; r++ {
+			if f := A[r][col]; f != 0 {
+				b[r] -= f * bc
+			}
 		}
 	}
 	for r := m - 1; r >= 0; r-- {
@@ -484,21 +533,74 @@ func denseSolve(A [][]float64, b []float64) ([]float64, error) {
 		}
 		b[r] = sum / A[r][r]
 	}
-	return b, nil
 }
 
-// solveHitting returns the expected number of interactions from every
-// node to the absorb set, processing levels top-down so each level's
-// system only involves itself and already-solved higher levels.
-func (ch *lchain) solveHitting(absorb []bool) ([]float64, error) {
-	E := make([]float64, len(ch.nodes))
+// gaussSeidel is the fallback for levels above denseLevelCap: sweeps in
+// local-index order over a local copy of x until the largest update falls
+// below lumpedTol relative to the iterate.
+func (ls *levelSystem) gaussSeidel(rhs, x []float64) error {
+	m := len(ls.trans)
+	xl := make([]float64, m)
+	for li, id := range ls.trans {
+		xl[li] = x[id]
+	}
+	for iter := 0; iter < lumpedMaxIter; iter++ {
+		var maxDelta, maxX float64
+		for li := 0; li < m; li++ {
+			sum := rhs[li]
+			lo, hi := ls.ptr[li], ls.ptr[li+1]
+			ps := ls.ps[lo:hi]
+			for k, c := range ls.cols[lo:hi] {
+				sum += ps[k] * xl[c]
+			}
+			v := sum / ls.den[li]
+			if d := math.Abs(v - xl[li]); d > maxDelta {
+				maxDelta = d
+			}
+			if a := math.Abs(v); a > maxX {
+				maxX = a
+			}
+			xl[li] = v
+		}
+		if maxDelta < lumpedTol*(1+maxX) {
+			for li, id := range ls.trans {
+				x[id] = xl[li]
+			}
+			return nil
+		}
+	}
+	return fmt.Errorf("twin: level with %d nodes did not converge in %d sweeps", m, lumpedMaxIter)
+}
+
+// hitting returns the expected number of interactions E from every node
+// to the absorb set and, when second is set, the second moments
+// M = E[T²] of that hitting time (the system shares the chain's matrix —
+// see markov.SecondMoments for the derivation). Levels are processed
+// top-down, so each level's system only involves itself and
+// already-solved higher levels; each level's system is assembled (and,
+// dense, factored) once and solved for E, then for M.
+func (ch *lchain) hitting(absorb []bool, second bool) (E, M []float64, err error) {
+	E = make([]float64, len(ch.nodes))
+	if second {
+		M = make([]float64, len(ch.nodes))
+	}
+	loc := ch.localIndex()
 	for li := len(ch.levels) - 1; li >= 0; li-- {
 		var trans []int
-		var rhs []float64
 		for _, i := range ch.levels[li] {
-			if absorb[i] {
-				continue
+			if !absorb[i] {
+				trans = append(trans, i)
 			}
+		}
+		if len(trans) == 0 {
+			continue
+		}
+		sys, err := ch.newLevelSystem(trans, loc, false)
+		if err != nil {
+			return nil, nil, fmt.Errorf("%w (hitting, level %d)", err, li+ch.cMin)
+		}
+		rhs := make([]float64, len(trans))
+		for r, i := range trans {
 			// rhs = 1 + mass flowing to already-solved higher levels.
 			sum := 1.0
 			lvl := level(ch.nodes[i])
@@ -507,62 +609,15 @@ func (ch *lchain) solveHitting(absorb []bool) ([]float64, error) {
 					sum += e.P * E[e.To]
 				}
 			}
-			trans = append(trans, i)
-			rhs = append(rhs, sum)
+			rhs[r] = sum
 		}
-		if err := ch.solveLevel(trans, rhs, E, false); err != nil {
-			return nil, fmt.Errorf("%w (hitting, level %d)", err, li+ch.cMin)
+		if err := sys.solve(rhs, E); err != nil {
+			return nil, nil, fmt.Errorf("%w (hitting, level %d)", err, li+ch.cMin)
 		}
-	}
-	return E, nil
-}
-
-// hitStable returns expected interactions to the stable configuration.
-func (ch *lchain) hitStable() ([]float64, error) {
-	return ch.solveHitting(ch.stable)
-}
-
-// momentsCached returns the stable-hitting first and second moments,
-// solving once and memoizing — cached endgame chains are reused across
-// Predict calls (and goroutines), and the solve is the expensive part.
-func (ch *lchain) momentsCached() (E, M []float64, err error) {
-	ch.mu.Lock()
-	defer ch.mu.Unlock()
-	if ch.solvedE == nil {
-		E, err := ch.solveHitting(ch.stable)
-		if err != nil {
-			return nil, nil, err
+		if !second {
+			continue
 		}
-		M, err := ch.secondMoments(E)
-		if err != nil {
-			return nil, nil, err
-		}
-		ch.solvedE, ch.solvedM = E, M
-	}
-	return ch.solvedE, ch.solvedM, nil
-}
-
-// hitLevel returns expected interactions until #gk first reaches j.
-func (ch *lchain) hitLevel(j int) ([]float64, error) {
-	absorb := make([]bool, len(ch.nodes))
-	for i, v := range ch.nodes {
-		absorb[i] = level(v) >= j
-	}
-	return ch.solveHitting(absorb)
-}
-
-// secondMoments solves E[T²] for the stable-set hitting time given the
-// first moments, with the same level-ordered passes (the system shares
-// the chain's matrix — see markov.SecondMoments for the derivation).
-func (ch *lchain) secondMoments(E []float64) ([]float64, error) {
-	M := make([]float64, len(ch.nodes))
-	for li := len(ch.levels) - 1; li >= 0; li-- {
-		var trans []int
-		var rhs []float64
-		for _, i := range ch.levels[li] {
-			if ch.stable[i] {
-				continue
-			}
+		for r, i := range trans {
 			sum := 1.0 + 2*ch.self[i]*E[i]
 			lvl := level(ch.nodes[i])
 			for _, e := range ch.out[i] {
@@ -571,14 +626,42 @@ func (ch *lchain) secondMoments(E []float64) ([]float64, error) {
 					sum += e.P * M[e.To]
 				}
 			}
-			trans = append(trans, i)
-			rhs = append(rhs, sum)
+			rhs[r] = sum
 		}
-		if err := ch.solveLevel(trans, rhs, M, false); err != nil {
-			return nil, fmt.Errorf("%w (second moments, level %d)", err, li+ch.cMin)
+		if err := sys.solve(rhs, M); err != nil {
+			return nil, nil, fmt.Errorf("%w (second moments, level %d)", err, li+ch.cMin)
 		}
 	}
-	return M, nil
+	return E, M, nil
+}
+
+// momentsCached returns the stable-hitting first and second moments,
+// solving once and memoizing — cached endgame chains are reused across
+// Predict calls (and goroutines), and the solve is the expensive part.
+// Only the moments are kept, never a level's factors.
+func (ch *lchain) momentsCached() (E, M []float64, err error) {
+	ch.mu.Lock()
+	defer ch.mu.Unlock()
+	if ch.solvedE == nil {
+		E, M, err := ch.hitting(ch.stable, true)
+		if err != nil {
+			return nil, nil, err
+		}
+		ch.solvedE, ch.solvedM = E, M
+	}
+	return ch.solvedE, ch.solvedM, nil
+}
+
+// hitLevel returns expected interactions until #gk first reaches j. Its
+// absorb set differs from the stable set, so its level systems are
+// assembled over their own transient nodes.
+func (ch *lchain) hitLevel(j int) ([]float64, error) {
+	absorb := make([]bool, len(ch.nodes))
+	for i, v := range ch.nodes {
+		absorb[i] = level(v) >= j
+	}
+	E, _, err := ch.hitting(absorb, false)
+	return E, err
 }
 
 // occupancy computes ν[i], the expected number of interactions executed
@@ -592,6 +675,7 @@ func (ch *lchain) occupancy() ([]float64, error) {
 	nu := make([]float64, len(ch.nodes))
 	entry := make([]float64, len(ch.nodes))
 	entry[ch.start] = 1
+	loc := ch.localIndex()
 	for li := 0; li < len(ch.levels); li++ {
 		var trans []int
 		var rhs []float64
@@ -602,9 +686,16 @@ func (ch *lchain) occupancy() ([]float64, error) {
 			trans = append(trans, i)
 			rhs = append(rhs, entry[i])
 		}
+		if len(trans) == 0 {
+			continue
+		}
 		// The occupancy system is the hitting system transposed: mass
 		// flows along edges instead of expectations flowing against them.
-		if err := ch.solveLevel(trans, rhs, nu, true); err != nil {
+		sys, err := ch.newLevelSystem(trans, loc, true)
+		if err == nil {
+			err = sys.solve(rhs, nu)
+		}
+		if err != nil {
 			return nil, fmt.Errorf("%w (occupancy, level %d)", err, li+ch.cMin)
 		}
 		// Push the level's settled mass to higher levels.
@@ -730,11 +821,7 @@ func (l *Lumped) Predict(s Spec) (Prediction, error) {
 	if err != nil {
 		return Prediction{}, err
 	}
-	E, err := ch.hitStable()
-	if err != nil {
-		return Prediction{}, err
-	}
-	M, err := ch.secondMoments(E)
+	E, M, err := ch.hitting(ch.stable, true)
 	if err != nil {
 		return Prediction{}, err
 	}

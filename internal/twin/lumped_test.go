@@ -2,6 +2,7 @@ package twin
 
 import (
 	"errors"
+	"math"
 	"testing"
 
 	"repro/internal/harness"
@@ -132,5 +133,87 @@ func TestSelectPicksRungByBudget(t *testing.T) {
 	}
 	if m := Select(10, 3, 1); m.Name() != "meanfield" {
 		t.Errorf("Select(10, 3, budget 1) = %s, want meanfield", m.Name())
+	}
+}
+
+// The Gauss–Seidel fallback against a direct solve: (12,6) has one level
+// above denseLevelCap (888 transient nodes). Assembled densely and
+// LU-solved, with right-hand sides formed here from their definitions,
+// that level must reproduce the iterative E, M and occupancy answers.
+func TestGaussSeidelLevelMatchesDirect(t *testing.T) {
+	ch, err := buildLumped(harness.Proto(6), 12, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	E, M, err := ch.hitting(ch.stable, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nu, err := ch.occupancy()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// direct solves trans's system (transposed or not) for rhs by LU.
+	direct := func(trans []int, rhs []float64, transpose bool) []float64 {
+		ls := ch.assemble(trans, ch.localIndex(), transpose)
+		if err := ls.factor(); err != nil {
+			t.Fatal(err)
+		}
+		ls.solveDense(rhs)
+		return rhs
+	}
+	agree := func(what string, trans []int, iter []float64, want []float64) {
+		for r, i := range trans {
+			if d := math.Abs(iter[i] - want[r]); d > 1e-9*math.Abs(want[r]) {
+				t.Fatalf("%s at node %d: Gauss–Seidel %.17g, direct %.17g", what, i, iter[i], want[r])
+			}
+		}
+	}
+	levelOf := func(i int) int { return level(ch.nodes[i]) }
+	big := 0
+	for _, nodes := range ch.levels {
+		var trans []int
+		for _, i := range nodes {
+			if !ch.stable[i] {
+				trans = append(trans, i)
+			}
+		}
+		if len(trans) <= denseLevelCap {
+			continue
+		}
+		big++
+		rhsE := make([]float64, len(trans))
+		rhsM := make([]float64, len(trans))
+		for r, i := range trans {
+			rhsE[r], rhsM[r] = 1, 1+2*ch.self[i]*E[i]
+			for _, e := range ch.out[i] {
+				rhsM[r] += 2 * e.P * E[e.To]
+				if levelOf(e.To) > levelOf(i) {
+					rhsE[r] += e.P * E[e.To]
+					rhsM[r] += e.P * M[e.To]
+				}
+			}
+		}
+		// Occupancy mass entering the level: the start node's unit plus
+		// what every lower-level node passes up.
+		entry := make(map[int]float64, len(trans))
+		for j, edges := range ch.out {
+			for _, e := range edges {
+				if levelOf(j) < levelOf(e.To) {
+					entry[e.To] += e.P * nu[j]
+				}
+			}
+		}
+		entry[ch.start]++
+		rhsNu := make([]float64, len(trans))
+		for r, i := range trans {
+			rhsNu[r] = entry[i]
+		}
+		agree("E", trans, E, direct(trans, rhsE, false))
+		agree("M", trans, M, direct(trans, rhsM, false))
+		agree("occupancy", trans, nu, direct(trans, rhsNu, true))
+	}
+	if big != 1 {
+		t.Fatalf("(12,6) has %d levels above the dense cap, want 1", big)
 	}
 }

@@ -44,6 +44,14 @@ func fluidLen(k int) int { return 2*k - 2 }
 type fluid struct {
 	k int
 	t float64 // n(n−1), the ordered-pair normalizer
+	// gSuf is drift's scratch for the g-counts; a fluid belongs to one
+	// Predict call, so the scratch is never shared.
+	gSuf []float64
+}
+
+// newFluid returns the drift of an n-agent population with k groups.
+func newFluid(n, k int) *fluid {
+	return &fluid{k: k, t: float64(n) * float64(n-1), gSuf: make([]float64, k+1)}
 }
 
 func (f *fluid) mIdx(i int) int { return i - 1 }       // i in 2..k−1
@@ -61,7 +69,7 @@ func (f *fluid) drift(y, dy []float64) {
 	c := y[f.cIdx()]
 	// g_i via Lemma 1: suffix sums of m and d over levels >= i.
 	// gSuf[i] = g_i for i = 1..k−1 (only rules 9/10 need them).
-	gSuf := make([]float64, k+1)
+	gSuf := f.gSuf
 	gSuf[k] = c
 	for i := k - 1; i >= 1; i-- {
 		g := gSuf[i+1]
@@ -524,7 +532,7 @@ func (m *MeanField) Predict(s Spec) (Prediction, error) {
 	}
 	n, k := s.N, s.K
 	q := n / k
-	f := &fluid{k: k, t: float64(n) * float64(n-1)}
+	f := newFluid(n, k)
 	cStop, ok := m.chooseEndgame(n, k, q)
 	if !ok {
 		return m.predictFluidOnly(s, f, q)

@@ -51,7 +51,7 @@ func TestMeanFieldTracksExact(t *testing.T) {
 func TestFluidConservesPopulation(t *testing.T) {
 	for _, k := range []int{2, 3, 4, 5, 8} {
 		n := 10_000
-		f := &fluid{k: k, t: float64(n) * float64(n-1)}
+		f := newFluid(n, k)
 		dim := fluidLen(k)
 		y := make([]float64, dim)
 		y[0] = float64(n)
@@ -197,7 +197,7 @@ func TestEntryDistNormalized(t *testing.T) {
 	if !ok || cStop == 0 {
 		t.Fatalf("chooseEndgame(%d, %d) = %d, %v", n, k, cStop, ok)
 	}
-	f := &fluid{k: k, t: float64(n) * float64(n-1)}
+	f := newFluid(n, k)
 	fr, err := f.integrate(n, cStop)
 	if err != nil {
 		t.Fatal(err)
