@@ -6,7 +6,7 @@ GO ?= go
 
 .PHONY: check build vet fmt-check lint lint-sarif test race perfbench-build perfbench-test fuzz-smoke bench bench-json serve-smoke serve-bench-json bench-diff bench-diff-report twin-check twin-check-report
 
-check: build vet fmt-check lint test race perfbench-build bench-diff-report twin-check-report
+check: build vet fmt-check lint test race serve-smoke perfbench-build bench-diff-report twin-check-report
 
 build:
 	$(GO) build ./...
@@ -55,18 +55,20 @@ test:
 # and the HTTP serving layer (worker pool + admission queue + shared
 # LRU). internal/twin runs here because its mean-field rung shares a
 # mutex-guarded endgame-chain cache across /v1/predict request
-# goroutines. The scenario layer (topology, fairness meters, the weak
-# adversary) is sequential by design but runs here too: its types are
-# shared across harness workers, so the race detector exercises that
-# sharing through the harness tests. -short skips the minutes-long
-# statistical soaks (they run
-# race-free under `test`); the concurrency surface is fully covered
-# either way.
+# goroutines. internal/cli runs here because its signal context is
+# cancelled from the signal-delivery goroutine and its debug server
+# reads the harness registry from HTTP handler goroutines. The
+# scenario layer (topology, fairness meters, the weak adversary) is
+# sequential by design but runs here too: its types are shared across
+# harness workers, so the race detector exercises that sharing through
+# the harness tests. -short skips the minutes-long statistical soaks
+# (they run race-free under `test`); the concurrency surface is fully
+# covered either way.
 race:
 	$(GO) test -race -short ./internal/obs ./internal/obs/span ./internal/harness \
 		./internal/sim ./internal/checkpoint ./internal/countsim ./internal/rng \
 		./internal/serve ./internal/topology ./internal/fairness ./internal/sched \
-		./internal/twin
+		./internal/twin ./internal/cli
 
 # perfbench/ is its own Go module (replace repro => ../), so neither
 # `build` nor `test` above reaches it, yet it drives harness.RunTrialCtx

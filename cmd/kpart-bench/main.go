@@ -21,17 +21,14 @@ package main
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"flag"
 	"fmt"
 	"os"
-	"os/signal"
 	"runtime"
-	"syscall"
 	"time"
 
+	"repro/internal/cli"
 	"repro/internal/harness"
-	"repro/internal/obs"
 	"repro/internal/population"
 	"repro/internal/rng"
 	"repro/internal/sched"
@@ -76,48 +73,25 @@ func main() {
 	var (
 		out          = flag.String("out", "BENCH_kpart.json", "output path for the benchmark document")
 		trials       = flag.Int("trials", 5, "trials per suite point")
-		debugAddr    = flag.String("debug-addr", "", "serve pprof and /debug/vars on this address (e.g. :6060)")
+		debugAddr    = flag.String("debug-addr", "", "serve pprof, /debug/vars and /metrics on this address (e.g. :6060)")
 		resume       = flag.Bool("resume", false, "resume from <out>.journal, reusing completed suite trials")
 		trialTimeout = flag.Duration("trial-timeout", 0, "per-trial wall deadline (0 = none)")
 		retries      = flag.Int("retries", 0, "extra attempts for transiently failed trials")
 	)
 	flag.Parse()
 
-	if *debugAddr != "" {
-		ln, err := obs.ServeDebug(*debugAddr)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Fprintf(os.Stderr, "kpart-bench: debug server on http://%s/debug/pprof\n", ln.Addr())
+	if _, _, err := cli.Debug("kpart-bench", *debugAddr, false); err != nil {
+		fatal(err)
 	}
 
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	ctx, stop := cli.SignalContext()
 	defer stop()
-	go func() {
-		<-ctx.Done()
-		stop()
-	}()
 
-	opts := harness.RunOptions{TrialTimeout: *trialTimeout, Retries: *retries}
-	journalPath := *out + ".journal"
-	meta := fmt.Sprintf("kpart-bench trials=%d", *trials)
-	var j *harness.Journal
-	{
-		var err error
-		if *resume {
-			j, err = harness.OpenJournal(journalPath, meta)
-		} else {
-			j, err = harness.CreateJournal(journalPath, meta)
-		}
-		if err != nil {
-			fatal(err)
-		}
-		defer j.Close()
-		if *resume && j.Len() > 0 {
-			fmt.Fprintf(os.Stderr, "kpart-bench: resuming, %d trials already journaled in %s\n", j.Len(), journalPath)
-		}
-		opts.Journal = j
+	j, err := cli.OpenJournal("kpart-bench", *out+".journal", fmt.Sprintf("kpart-bench trials=%d", *trials), *resume)
+	if err != nil {
+		fatal(err)
 	}
+	opts := harness.RunOptions{TrialTimeout: *trialTimeout, Retries: *retries, Journal: j}
 
 	doc := benchDoc{
 		CreatedAt:  time.Now().UTC().Format(time.RFC3339),
@@ -170,17 +144,14 @@ func main() {
 		}
 		pt, err := runPoint(ctx, opts, s.name, base, *trials, s.scenario)
 		if err != nil {
-			if errors.Is(err, context.Canceled) {
-				fmt.Fprintf(os.Stderr, "kpart-bench: interrupted; completed trials saved in %s — rerun with -resume to continue\n", journalPath)
-				os.Exit(130)
-			}
-			fatal(err)
+			cli.Finish("kpart-bench", j, err)
 		}
 		doc.Points = append(doc.Points, pt)
 		fmt.Printf("%-24s %12.0f interactions/run  %12s/trial  %10.3g interactions/sec\n",
 			pt.Name, pt.MeanInteractions,
 			time.Duration(pt.WallNSMedian).Round(time.Microsecond), pt.InteractionsPerSec)
 	}
+	cli.Finish("kpart-bench", j, nil)
 	doc.Points = append(doc.Points, engineThroughput())
 	last := doc.Points[len(doc.Points)-1]
 	fmt.Printf("%-24s %39s  %10.3g interactions/sec\n", last.Name, "(raw engine loop)", last.InteractionsPerSec)
@@ -211,21 +182,9 @@ func runPoint(ctx context.Context, opts harness.RunOptions, name string, base ha
 	for t := 0; t < trials; t++ {
 		spec := base
 		spec.Seed = rng.StreamSeed(0xbe9c4, uint64(base.N), uint64(base.K), uint64(t))
-		var res harness.TrialResult
-		var wall time.Duration
-		if e, ok := opts.Journal.Lookup(spec); ok {
-			res, wall = e.Result, time.Duration(e.WallUS)*time.Microsecond
-		} else {
-			start := time.Now()
-			r, err := harness.RunTrialCtx(ctx, spec, opts)
-			wall = time.Since(start)
-			if err != nil {
-				return pt, fmt.Errorf("%s trial %d: %w", name, t, err)
-			}
-			res = r
-			if err := opts.Journal.Append(spec, res, wall); err != nil {
-				return pt, err
-			}
+		res, wall, _, err := harness.RunJournaled(ctx, spec, opts)
+		if err != nil {
+			return pt, fmt.Errorf("%s trial %d: %w", name, t, err)
 		}
 		if scenarioPoint {
 			if res.Converged {

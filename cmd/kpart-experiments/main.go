@@ -33,13 +33,11 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"os/signal"
 	"path/filepath"
-	"syscall"
 	"time"
 
+	"repro/internal/cli"
 	"repro/internal/harness"
-	"repro/internal/obs"
 	"repro/internal/report"
 )
 
@@ -60,6 +58,9 @@ var knownFigs = map[string]bool{
 // figUsage is the valid-values list printed with the unknown-fig error.
 const figUsage = "3, 4, 5, 6 (optionally fig-prefixed), all, traj, scenarios, churn, predict"
 
+// prog prefixes every diagnostic.
+const prog = "kpart-experiments"
+
 func main() {
 	var (
 		fig          = flag.String("fig", "all", "which figure to run: 3, 4, 5, 6, or all; auxiliary experiments: traj, scenarios (topology × fairness), churn (crash survival), predict (twin predictions vs simulation)")
@@ -71,7 +72,7 @@ func main() {
 		nmax         = flag.Int("nmax", 60, "fig3/4: maximum n")
 		fig6max      = flag.Int("fig6max", 12, "fig6: largest k (divisor of 960)")
 		engine       = flag.String("engine", "agent", "simulation backend: agent, count or batch (count skips null runs, same distribution; batch aggregates interactions per batch, fastest at large n)")
-		debugAddr    = flag.String("debug-addr", "", "serve pprof and /debug/vars on this address (e.g. :6060)")
+		debugAddr    = flag.String("debug-addr", "", "serve pprof, /debug/vars and /metrics on this address (e.g. :6060)")
 		metrics      = flag.Bool("metrics", false, "record harness metrics; snapshot written to <out>/metrics.jsonl")
 		resume       = flag.Bool("resume", false, "resume from existing <out>/<fig>.journal files instead of starting fresh")
 		trialTimeout = flag.Duration("trial-timeout", 0, "per-trial wall deadline (0 = none); timed-out trials are retried under derived seeds")
@@ -84,35 +85,25 @@ func main() {
 	// through every matcher and exit 0 having run nothing — easy to read
 	// as "done" at the end of a long scripted campaign.
 	if !knownFigs[*fig] {
-		fmt.Fprintf(os.Stderr,
-			"kpart-experiments: unknown -fig %q; valid values: %s\n", *fig, figUsage)
+		fmt.Fprintf(os.Stderr, "%s: unknown -fig %q; valid values: %s\n", prog, *fig, figUsage)
 		os.Exit(2)
 	}
 
 	// Observability: with -metrics or -debug-addr the parallel trial
 	// runner records per-trial wall times, interaction histograms,
 	// convergence counters, and the resilience counters
-	// (retries/timeouts/canceled/resumed); /debug/vars exposes them live
-	// during a long sweep, and the snapshot lands next to the CSV/JSON
-	// results — including on an interrupted exit.
-	reg := obs.Nop()
-	if *metrics || *debugAddr != "" {
-		reg = obs.New("kpart_experiments")
-		reg.PublishExpvar()
-		harness.SetMetrics(reg)
-	}
-	if *debugAddr != "" {
-		ln, err := obs.ServeDebug(*debugAddr)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "kpart-experiments: %v\n", err)
-			os.Exit(2)
-		}
-		fmt.Fprintf(os.Stderr, "kpart-experiments: debug server on http://%s/debug/pprof\n", ln.Addr())
+	// (retries/timeouts/canceled/resumed); /debug/vars and /metrics expose
+	// them live during a long sweep, and the snapshot lands next to the
+	// CSV/JSON results — including on an interrupted exit.
+	reg, _, err := cli.Debug(prog, *debugAddr, *metrics)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "%s: %v\n", prog, err)
+		os.Exit(2)
 	}
 
 	eng, err := harness.ParseEngine(*engine)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "kpart-experiments: %v\n", err)
+		fmt.Fprintf(os.Stderr, "%s: %v\n", prog, err)
 		os.Exit(2)
 	}
 
@@ -128,15 +119,8 @@ func main() {
 		}
 	}
 
-	// First SIGINT/SIGTERM cancels the context: dispatch stops, in-flight
-	// trials abort at their next poll, completed trials are already in
-	// the journal. A second signal kills the process the default way.
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	ctx, stop := cli.SignalContext()
 	defer stop()
-	go func() {
-		<-ctx.Done()
-		stop()
-	}()
 
 	opts := harness.RunOptions{TrialTimeout: *trialTimeout, Retries: *retries}
 
@@ -146,122 +130,61 @@ func main() {
 		}
 		path, err := harness.SaveSnapshotJSONL(*outDir, "metrics.jsonl", reg.Snapshot())
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "kpart-experiments: writing metrics: %v\n", err)
-			os.Exit(1)
+			cli.Finish(prog, nil, fmt.Errorf("writing metrics: %w", err))
 		}
 		fmt.Println("wrote", path)
 	}
 
-	// openJournal attaches the figure's checkpoint journal to opts. The
-	// campaign meta string ties the journal to this exact sweep shape, so
-	// -resume refuses a journal written under different parameters.
-	openJournal := func(name string) (*harness.Journal, error) {
-		path := filepath.Join(*outDir, name+".journal")
-		meta := fmt.Sprintf("%s seed=%d trials=%d engine=%s nmax=%d fig6max=%d quick=%t",
-			name, *seed, *trials, *engine, *nmax, *fig6max, *quick)
-		if *resume {
-			return harness.OpenJournal(path, meta)
-		}
-		return harness.CreateJournal(path, meta)
-	}
-
-	run := func(name string, f func(ctx context.Context, opts harness.RunOptions) error) {
-		want := *fig == "all" || *fig == name || *fig == "fig"+name
+	// run executes one experiment when want holds, checkpointing its
+	// trials to <out>/<name>.journal. The campaign meta string ties the
+	// journal to this exact sweep shape, so -resume refuses a journal
+	// written under different parameters.
+	run := func(want bool, name, title string, f func(ctx context.Context, opts harness.RunOptions) error) {
 		if !want {
 			return
 		}
 		start := time.Now()
-		fmt.Printf("=== Figure %s ===\n", name)
-		j, err := openJournal("fig" + name)
+		fmt.Printf("=== %s ===\n", title)
+		meta := fmt.Sprintf("%s seed=%d trials=%d engine=%s nmax=%d fig6max=%d quick=%t",
+			name, *seed, *trials, *engine, *nmax, *fig6max, *quick)
+		j, err := cli.OpenJournal(prog, filepath.Join(*outDir, name+".journal"), meta, *resume)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "kpart-experiments: figure %s: %v\n", name, err)
-			os.Exit(1)
+			cli.Finish(prog, nil, fmt.Errorf("%s: %w", name, err))
 		}
-		if *resume && j.Len() > 0 {
-			fmt.Printf("(resuming: %d trials already journaled in %s)\n", j.Len(), j.Path())
+		o := opts
+		o.Journal = j
+		err = f(ctx, o)
+		if errors.Is(err, context.Canceled) {
+			flushMetrics()
 		}
-		figOpts := opts
-		figOpts.Journal = j
-		err = f(ctx, figOpts)
-		if cerr := j.Close(); cerr != nil {
-			// The resume story depends on the journal's tail being
-			// durable; a failed close means "completed trials saved"
-			// below could be a lie, so say so.
-			fmt.Fprintf(os.Stderr, "kpart-experiments: closing journal %s: %v\n", j.Path(), cerr)
-			if err == nil {
-				err = cerr
-			}
-		}
-		if err != nil {
-			if errors.Is(err, context.Canceled) {
-				fmt.Fprintf(os.Stderr, "kpart-experiments: figure %s interrupted; completed trials saved in %s\n", name, j.Path())
-				fmt.Fprintf(os.Stderr, "kpart-experiments: rerun the same command with -resume to continue\n")
-				flushMetrics()
-				os.Exit(130)
-			}
-			fmt.Fprintf(os.Stderr, "kpart-experiments: figure %s: %v\n", name, err)
-			os.Exit(1)
-		}
-		fmt.Printf("(figure %s done in %v)\n\n", name, time.Since(start).Round(time.Millisecond))
+		cli.Finish(prog, j, err)
+		fmt.Printf("(%s done in %v)\n\n", name, time.Since(start).Round(time.Millisecond))
 	}
+	// A paper figure runs under its bare or fig-prefixed name and "all".
+	figure := func(n string) bool { return *fig == "all" || *fig == n || *fig == "fig"+n }
 
-	run("3", func(ctx context.Context, o harness.RunOptions) error {
+	run(figure("3"), "fig3", "Figure 3", func(ctx context.Context, o harness.RunOptions) error {
 		return fig3(ctx, o, *trials, *seed, *outDir, *workers, *nmax, false, eng)
 	})
-	run("4", func(ctx context.Context, o harness.RunOptions) error {
+	run(figure("4"), "fig4", "Figure 4", func(ctx context.Context, o harness.RunOptions) error {
 		return fig3(ctx, o, *trials, *seed, *outDir, *workers, *nmax, true, eng)
 	})
-	run("5", func(ctx context.Context, o harness.RunOptions) error {
+	run(figure("5"), "fig5", "Figure 5", func(ctx context.Context, o harness.RunOptions) error {
 		return fig5(ctx, o, *trials, *seed, *outDir, *workers, *quick, eng)
 	})
-	run("6", func(ctx context.Context, o harness.RunOptions) error {
+	run(figure("6"), "fig6", "Figure 6", func(ctx context.Context, o harness.RunOptions) error {
 		return fig6(ctx, o, *trials, *seed, *outDir, *workers, *fig6max, eng)
 	})
 	// Auxiliary experiments are opt-in (exact -fig match, never part of
 	// "all"): they chart behavior outside the paper's model, with the
 	// same journal/resume plumbing as the figures.
-	runAux := func(name string, f func(ctx context.Context, opts harness.RunOptions) error) {
-		if *fig != name {
-			return
-		}
-		start := time.Now()
-		fmt.Printf("=== %s (auxiliary) ===\n", name)
-		j, err := openJournal(name)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "kpart-experiments: %s: %v\n", name, err)
-			os.Exit(1)
-		}
-		if *resume && j.Len() > 0 {
-			fmt.Printf("(resuming: %d trials already journaled in %s)\n", j.Len(), j.Path())
-		}
-		auxOpts := opts
-		auxOpts.Journal = j
-		err = f(ctx, auxOpts)
-		if cerr := j.Close(); cerr != nil {
-			fmt.Fprintf(os.Stderr, "kpart-experiments: closing journal %s: %v\n", j.Path(), cerr)
-			if err == nil {
-				err = cerr
-			}
-		}
-		if err != nil {
-			if errors.Is(err, context.Canceled) {
-				fmt.Fprintf(os.Stderr, "kpart-experiments: %s interrupted; completed trials saved in %s\n", name, j.Path())
-				fmt.Fprintf(os.Stderr, "kpart-experiments: rerun the same command with -resume to continue\n")
-				flushMetrics()
-				os.Exit(130)
-			}
-			fmt.Fprintf(os.Stderr, "kpart-experiments: %s: %v\n", name, err)
-			os.Exit(1)
-		}
-		fmt.Printf("(%s done in %v)\n\n", name, time.Since(start).Round(time.Millisecond))
-	}
-	runAux("scenarios", func(ctx context.Context, o harness.RunOptions) error {
+	run(*fig == "scenarios", "scenarios", "scenarios (auxiliary)", func(ctx context.Context, o harness.RunOptions) error {
 		return scenariosExp(ctx, o, *trials, *seed, *outDir, *workers)
 	})
-	runAux("churn", func(ctx context.Context, o harness.RunOptions) error {
+	run(*fig == "churn", "churn", "churn (auxiliary)", func(ctx context.Context, o harness.RunOptions) error {
 		return churnExp(ctx, o, *trials, *seed, *outDir, *workers)
 	})
-	runAux("predict", func(ctx context.Context, o harness.RunOptions) error {
+	run(*fig == "predict", "predict", "predict (auxiliary)", func(ctx context.Context, o harness.RunOptions) error {
 		return predictExp(ctx, o, *trials, *seed, *outDir, *workers, *fig6max, eng)
 	})
 	flushMetrics()
@@ -269,8 +192,7 @@ func main() {
 		start := time.Now()
 		fmt.Println("=== Convergence trajectories (auxiliary) ===")
 		if err := traj(*trials, *seed, *outDir); err != nil {
-			fmt.Fprintf(os.Stderr, "kpart-experiments: traj: %v\n", err)
-			os.Exit(1)
+			cli.Finish(prog, nil, fmt.Errorf("traj: %w", err))
 		}
 		fmt.Printf("(trajectories done in %v)\n", time.Since(start).Round(time.Millisecond))
 	}

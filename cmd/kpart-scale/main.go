@@ -37,20 +37,17 @@
 package main
 
 import (
-	"context"
 	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
 	"os"
-	"os/signal"
 	"strconv"
 	"strings"
-	"syscall"
 	"time"
 
+	"repro/internal/cli"
 	"repro/internal/harness"
-	"repro/internal/obs"
 	"repro/internal/report"
 	"repro/internal/rng"
 	"repro/internal/stats"
@@ -112,7 +109,7 @@ func main() {
 		trials       = flag.Int("trials", 5, "trials per k")
 		seed         = flag.Uint64("seed", 1, "root seed")
 		jsonPath     = flag.String("json", "", "write per-trial results as JSON to this file")
-		debugAddr    = flag.String("debug-addr", "", "serve pprof and /debug/vars on this address (e.g. :6060)")
+		debugAddr    = flag.String("debug-addr", "", "serve pprof, /debug/vars and /metrics on this address (e.g. :6060)")
 		progressN    = flag.Uint64("progress", 0, "interactions between live progress reports (0 = off)")
 		journalPath  = flag.String("journal", "", "checkpoint completed trials to this journal file")
 		resume       = flag.Bool("resume", false, "resume from -journal, skipping already-completed trials")
@@ -171,12 +168,8 @@ func main() {
 		}
 	}
 
-	if *debugAddr != "" {
-		ln, err := obs.ServeDebug(*debugAddr)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Fprintf(os.Stderr, "kpart-scale: debug server on http://%s/debug/pprof\n", ln.Addr())
+	if _, _, err := cli.Debug("kpart-scale", *debugAddr, false); err != nil {
+		fatal(err)
 	}
 
 	var ks []int
@@ -188,38 +181,23 @@ func main() {
 		ks = append(ks, k)
 	}
 
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	ctx, stop := cli.SignalContext()
 	defer stop()
-	go func() {
-		<-ctx.Done()
-		stop() // second signal kills the process the default way
-	}()
 
+	if *resume && *journalPath == "" {
+		fatal(errors.New("-resume requires -journal"))
+	}
+	meta := fmt.Sprintf("kpart-scale n=%d k=%s trials=%d seed=%d engine=%s batch=%d topo=%s fair=%s churn=%s max=%d",
+		*n, *ksFlag, *trials, *seed, eng, *batchSize, topo, fair, churn, maxI)
+	j, err := cli.OpenJournal("kpart-scale", *journalPath, meta, *resume)
+	if err != nil {
+		fatal(err)
+	}
 	opts := harness.RunOptions{
 		TrialTimeout: *trialTimeout,
 		Retries:      *retries,
 		Progress:     *progressN,
-	}
-	var j *harness.Journal
-	if *resume && *journalPath == "" {
-		fatal(errors.New("-resume requires -journal"))
-	}
-	if *journalPath != "" {
-		meta := fmt.Sprintf("kpart-scale n=%d k=%s trials=%d seed=%d engine=%s batch=%d topo=%s fair=%s churn=%s max=%d",
-			*n, *ksFlag, *trials, *seed, eng, *batchSize, topo, fair, churn, maxI)
-		var err error
-		if *resume {
-			j, err = harness.OpenJournal(*journalPath, meta)
-		} else {
-			j, err = harness.CreateJournal(*journalPath, meta)
-		}
-		if err != nil {
-			fatal(err)
-		}
-		defer j.Close()
-		if *resume && j.Len() > 0 {
-			fmt.Fprintf(os.Stderr, "kpart-scale: resuming, %d trials already journaled in %s\n", j.Len(), *journalPath)
-		}
+		Journal:      j,
 	}
 
 	doc := resultDoc{
@@ -248,34 +226,15 @@ func main() {
 				Fairness:        fair,
 				Churn:           churn,
 			}
-			var res harness.TrialResult
-			var wall time.Duration
-			resumed := false
-			if j != nil {
-				if e, ok := j.Lookup(spec); ok {
-					res, wall, resumed = e.Result, time.Duration(e.WallUS)*time.Microsecond, true
-					doc.Resumed++
-				}
+			res, wall, resumed, err := harness.RunJournaled(ctx, spec, opts)
+			if err == nil && !res.Converged && !scenario {
+				err = fmt.Errorf("n=%d k=%d trial %d did not stabilize", *n, k, t)
 			}
-			if !resumed {
-				start := time.Now()
-				r, err := harness.RunTrialCtx(ctx, spec, opts)
-				wall = time.Since(start)
-				if err != nil {
-					if errors.Is(err, context.Canceled) {
-						interrupted(j)
-					}
-					fatal(err)
-				}
-				if !r.Converged && !scenario {
-					fatal(fmt.Errorf("n=%d k=%d trial %d did not stabilize", *n, k, t))
-				}
-				res = r
-				if j != nil {
-					if err := j.Append(spec, res, wall); err != nil {
-						fatal(err)
-					}
-				}
+			if err != nil {
+				cli.Finish("kpart-scale", j, err)
+			}
+			if resumed {
+				doc.Resumed++
 			}
 			xs = append(xs, float64(res.Interactions))
 			wallMS = append(wallMS, float64(wall)/float64(time.Millisecond))
@@ -321,6 +280,7 @@ func main() {
 		}
 		tbl.AddRow(row...)
 	}
+	cli.Finish("kpart-scale", j, nil)
 	switch {
 	case scenario:
 		fmt.Printf("agent engine, scenario: topology=%s fairness=%s churn=%s cap=%d\n", topo, fair, churn, maxI)
@@ -343,19 +303,6 @@ func main() {
 		}
 		fmt.Println("wrote", *jsonPath)
 	}
-}
-
-// interrupted reports a graceful SIGINT drain and exits 130.
-func interrupted(j *harness.Journal) {
-	if j != nil {
-		if err := j.Close(); err != nil {
-			fmt.Fprintf(os.Stderr, "kpart-scale: closing journal: %v\n", err)
-		}
-		fmt.Fprintf(os.Stderr, "kpart-scale: interrupted; completed trials saved in %s — rerun with -resume to continue\n", j.Path())
-	} else {
-		fmt.Fprintln(os.Stderr, "kpart-scale: interrupted (run with -journal to make runs resumable)")
-	}
-	os.Exit(130)
 }
 
 // ms renders a millisecond quantity as a duration string.

@@ -43,11 +43,10 @@ import (
 	"net"
 	"net/http"
 	"os"
-	"os/signal"
 	"strings"
-	"syscall"
 	"time"
 
+	"repro/internal/cli"
 	"repro/internal/harness"
 	"repro/internal/obs"
 	"repro/internal/obs/span"
@@ -83,10 +82,10 @@ func main() {
 
 	// A service is always instrumented: the registry feeds /healthz's
 	// richer sibling /debug/vars and the per-endpoint counters.
-	reg := obs.New("kpart_serve")
-	reg.PublishExpvar()
-	reg.PublishPrometheus()
-	harness.SetMetrics(reg)
+	reg, _, err := cli.Debug("kpart-serve", *debugAddr, true)
+	if err != nil {
+		fatal(err)
+	}
 
 	var spans *span.Collector
 	var traceFile *os.File
@@ -100,26 +99,11 @@ func main() {
 		fmt.Fprintf(os.Stderr, "kpart-serve: tracing request spans to %s\n", *traceOut)
 	}
 
-	if *debugAddr != "" {
-		ln, err := obs.ServeDebug(*debugAddr)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Fprintf(os.Stderr, "kpart-serve: debug server on http://%s/debug/pprof\n", ln.Addr())
-	}
-
-	var journal *harness.Journal
-	if *journalPath != "" {
-		// OpenJournal resumes an existing journal (that is the point of a
-		// service restart) and degenerates to a fresh one on first boot.
-		j, err := harness.OpenJournal(*journalPath, "kpart-serve")
-		if err != nil {
-			fatal(err)
-		}
-		journal = j
-		if n := j.Len(); n > 0 {
-			fmt.Fprintf(os.Stderr, "kpart-serve: loaded %d completed trials from %s\n", n, *journalPath)
-		}
+	// A service restart always resumes its journal (that is the point of
+	// persisting results); on first boot the journal starts fresh.
+	journal, err := cli.OpenJournal("kpart-serve", *journalPath, "kpart-serve", true)
+	if err != nil {
+		fatal(err)
 	}
 
 	srv := serve.New(serve.Config{
@@ -143,14 +127,13 @@ func main() {
 	go func() { serveErr <- httpSrv.Serve(ln) }()
 	fmt.Fprintf(os.Stderr, "kpart-serve: listening on http://%s\n", ln.Addr())
 
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	ctx, stop := cli.SignalContext()
 	defer stop()
 	select {
 	case <-ctx.Done():
 	case err := <-serveErr:
 		fatal(err)
 	}
-	stop() // a second signal kills the process the default way
 	fmt.Fprintln(os.Stderr, "kpart-serve: draining (in-flight trials abort; completed ones are journaled)")
 
 	// Drain order matters: abort trial execution first so blocked

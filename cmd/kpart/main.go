@@ -9,8 +9,8 @@
 //
 // Observability: -metrics writes an internal/obs snapshot (per-rule
 // firing counts, phase timings, engine totals) as JSONL after the run;
-// -debug-addr serves live pprof and /debug/vars while the run is hot;
-// -v routes through the obs Progress reporter (interactions/sec,
+// -debug-addr serves live pprof, /debug/vars and /metrics while the run
+// is hot; -v routes through the obs Progress reporter (interactions/sec,
 // productive %, spread) in addition to the per-grouping marks.
 //
 // Exit status is non-zero if the run hits the interaction cap before
@@ -23,6 +23,7 @@ import (
 	"os"
 	"time"
 
+	"repro/internal/cli"
 	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/population"
@@ -43,7 +44,7 @@ func main() {
 		tracePath = flag.String("trace", "", "write a JSONL interaction trace to this file")
 		verbose   = flag.Bool("v", false, "print live progress and per-grouping marks")
 		metrics   = flag.String("metrics", "", "write an obs metrics snapshot (JSONL) to this file")
-		debugAddr = flag.String("debug-addr", "", "serve pprof and /debug/vars on this address (e.g. :6060)")
+		debugAddr = flag.String("debug-addr", "", "serve pprof, /debug/vars and /metrics on this address (e.g. :6060)")
 		progressN = flag.Uint64("progress", 0, "interactions between progress reports (0 = auto with -v)")
 	)
 	flag.Parse()
@@ -69,19 +70,11 @@ func main() {
 	}
 
 	// The registry is enabled whenever someone will read it: a snapshot
-	// file, or live /debug/vars. With neither, it is the no-op registry
-	// and the instrumentation hooks are not attached at all.
-	reg := obs.Nop()
-	if *metrics != "" || *debugAddr != "" {
-		reg = obs.New("kpart")
-		reg.PublishExpvar()
-	}
-	if *debugAddr != "" {
-		ln, err := obs.ServeDebug(*debugAddr)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Fprintf(os.Stderr, "kpart: debug server on http://%s/debug/pprof (vars at /debug/vars)\n", ln.Addr())
+	// file, or the live debug server. With neither, it is the no-op
+	// registry and the instrumentation hooks are not attached at all.
+	reg, _, err := cli.Debug("kpart", *debugAddr, *metrics != "")
+	if err != nil {
+		fatal(err)
 	}
 
 	target, err := p.TargetCounts(*n)

@@ -8,6 +8,7 @@ package repro_test
 
 import (
 	"bytes"
+	"context"
 	"math"
 	"testing"
 
@@ -29,9 +30,9 @@ import (
 // data (small trials; the full version lives in cmd/kpart-experiments).
 func TestMiniEvaluationPipeline(t *testing.T) {
 	// Mini Figure 3: k=4, n in 8..31, 10 trials.
-	series, err := harness.RunFig3(harness.Fig3Config{
+	series, err := harness.RunFig3Ctx(context.Background(), harness.Fig3Config{
 		Ks: []int{4}, NMin: 8, NMax: 31, NStep: 1, Trials: 10, Seed: 1234,
-	})
+	}, harness.RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,9 +56,9 @@ func TestMiniEvaluationPipeline(t *testing.T) {
 
 	// Mini Figure 6: n=120, k in {2,3,4,6,8,10}, 10 trials; exponential
 	// growth in k must beat the linear fit.
-	fig6, err := harness.RunFig6(harness.Fig6Config{
+	fig6, err := harness.RunFig6Ctx(context.Background(), harness.Fig6Config{
 		N: 120, Ks: []int{2, 3, 4, 6, 8, 10}, Trials: 10, Seed: 77,
-	})
+	}, harness.RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -393,11 +393,25 @@ func runCountTrial(ctx context.Context, p *core.Protocol, spec TrialSpec, ct *si
 		population.SpreadOf(p.GroupSizesFromCounts(s.CountsView())), err)
 }
 
-// RunMany executes specs over a worker pool and returns results in input
-// order. workers <= 0 selects GOMAXPROCS. Every spec is attempted; the
-// first error is returned alongside the full result slice.
-func RunMany(specs []TrialSpec, workers int) ([]TrialResult, error) {
-	return RunManyCtx(context.Background(), specs, workers, RunOptions{})
+// RunJournaled runs one trial through opts.Journal. A spec the journal
+// already holds returns its recorded result and wall time without
+// running, with resumed set (counted in harness/resumed). Otherwise the
+// trial runs under RunTrialCtx, a successful result is appended to the
+// journal (when there is one), and the measured wall time is returned.
+func RunJournaled(ctx context.Context, spec TrialSpec, opts RunOptions) (res TrialResult, wall time.Duration, resumed bool, err error) {
+	if opts.Journal != nil {
+		if e, ok := opts.Journal.Lookup(spec); ok {
+			Metrics().Counter("harness/resumed").Inc()
+			return e.Result, time.Duration(e.WallUS) * time.Microsecond, true, nil
+		}
+	}
+	start := time.Now()
+	res, err = RunTrialCtx(ctx, spec, opts)
+	wall = time.Since(start)
+	if err == nil && opts.Journal != nil {
+		err = opts.Journal.Append(spec, res, wall)
+	}
+	return res, wall, false, err
 }
 
 // RunManyCtx executes specs over a worker pool under ctx and returns
@@ -406,10 +420,10 @@ func RunMany(specs []TrialSpec, workers int) ([]TrialResult, error) {
 // order, journal hits, and retry history (the differential tests pin
 // this down).
 //
-// With opts.Journal set, trials whose spec key is already journaled are
-// returned without re-running (counted in harness/resumed), and each
-// freshly completed trial is appended to the journal as soon as it
-// finishes — so a crash or cancellation loses at most the in-flight
+// Each trial goes through RunJournaled: with opts.Journal set, trials
+// whose spec key is already journaled are returned without re-running,
+// and each freshly completed trial is appended to the journal as soon as
+// it finishes — so a crash or cancellation loses at most the in-flight
 // trials.
 //
 // Cancellation is graceful: no new trials are dispatched, in-flight
@@ -424,16 +438,6 @@ func RunManyCtx(ctx context.Context, specs []TrialSpec, workers int, opts RunOpt
 	}
 	results := make([]TrialResult, len(specs))
 	errs := make([]error, len(specs))
-	done := make([]bool, len(specs))
-	if opts.Journal != nil {
-		reg := Metrics()
-		for i := range specs {
-			if e, ok := opts.Journal.Lookup(specs[i]); ok {
-				results[i], done[i] = e.Result, true
-				reg.Counter("harness/resumed").Inc()
-			}
-		}
-	}
 	idx := make(chan int)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -441,19 +445,12 @@ func RunManyCtx(ctx context.Context, specs []TrialSpec, workers int, opts RunOpt
 		go func() {
 			defer wg.Done()
 			for i := range idx {
-				start := time.Now()
-				results[i], errs[i] = RunTrialCtx(ctx, specs[i], opts)
-				if errs[i] == nil && opts.Journal != nil {
-					errs[i] = opts.Journal.Append(specs[i], results[i], time.Since(start))
-				}
+				results[i], _, _, errs[i] = RunJournaled(ctx, specs[i], opts)
 			}
 		}()
 	}
 dispatch:
 	for i := range specs {
-		if done[i] {
-			continue
-		}
 		select {
 		case idx <- i:
 		case <-ctx.Done():
@@ -611,7 +608,7 @@ func (s SweepSpec) Specs() []TrialSpec {
 	for t := range specs {
 		specs[t] = TrialSpec{
 			N: s.N, K: s.K,
-			Seed:            rng.StreamSeed(s.Seed, s.PointID, uint64(t)),
+			Seed:            SeedForCell(s.Seed, s.PointID, t),
 			Grouping:        s.Grouping,
 			MaxInteractions: s.MaxInteractions,
 			Engine:          s.Engine,
@@ -622,16 +619,6 @@ func (s SweepSpec) Specs() []TrialSpec {
 		}
 	}
 	return specs
-}
-
-// SweepPoint runs one sweep point and aggregates it; the
-// context/journal-aware form is SweepPointCtx.
-func SweepPoint(n, k, trials int, seed, pointID uint64, grouping bool, workers int, maxInteractions uint64, engine Engine) (Point, error) {
-	return SweepPointCtx(context.Background(), SweepSpec{
-		N: n, K: k, Trials: trials, Seed: seed, PointID: pointID,
-		Grouping: grouping, Workers: workers,
-		MaxInteractions: maxInteractions, Engine: engine,
-	}, RunOptions{})
 }
 
 // SweepPointCtx runs a sweep point under ctx with the given resilience

@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"context"
 	"math"
 	"os"
 	"path/filepath"
@@ -60,7 +61,7 @@ func TestProtoCacheSharesInstances(t *testing.T) {
 	}
 }
 
-// RunMany must return results in input order regardless of worker count,
+// RunManyCtx must return results in input order regardless of worker count,
 // and match serial execution exactly.
 func TestRunManyOrderAndDeterminism(t *testing.T) {
 	specs := make([]TrialSpec, 12)
@@ -76,7 +77,7 @@ func TestRunManyOrderAndDeterminism(t *testing.T) {
 		serial[i] = r
 	}
 	for _, workers := range []int{1, 2, 8, 100} {
-		got, err := RunMany(specs, workers)
+		got, err := RunManyCtx(context.Background(), specs, workers, RunOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -90,7 +91,7 @@ func TestRunManyOrderAndDeterminism(t *testing.T) {
 
 func TestRunManySurfacesErrors(t *testing.T) {
 	specs := []TrialSpec{{N: 20, K: 3, Seed: 1}, {N: 1, K: 3, Seed: 2}}
-	if _, err := RunMany(specs, 2); err == nil {
+	if _, err := RunManyCtx(context.Background(), specs, 2, RunOptions{}); err == nil {
 		t.Fatal("invalid spec not surfaced")
 	}
 }
@@ -168,7 +169,7 @@ func TestAggregateDeltasSumToMean(t *testing.T) {
 }
 
 func TestSweepPointAggregates(t *testing.T) {
-	pt, err := SweepPoint(16, 4, 8, 7, 0, false, 4, 0, EngineAgent)
+	pt, err := SweepPointCtx(context.Background(), SweepSpec{N: 16, K: 4, Trials: 8, Seed: 7, Workers: 4}, RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,7 +179,7 @@ func TestSweepPointAggregates(t *testing.T) {
 }
 
 func TestRunFig3Small(t *testing.T) {
-	series, err := RunFig3(Fig3Config{Ks: []int{3}, NMin: 5, NMax: 12, NStep: 1, Trials: 5, Seed: 3, Workers: 4})
+	series, err := RunFig3Ctx(context.Background(), Fig3Config{Ks: []int{3}, NMin: 5, NMax: 12, NStep: 1, Trials: 5, Seed: 3, Workers: 4}, RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,7 +194,7 @@ func TestRunFig3Small(t *testing.T) {
 }
 
 func TestRunFig3DefaultsClampNMin(t *testing.T) {
-	series, err := RunFig3(Fig3Config{Ks: []int{6}, NMin: 2, NMax: 9, Trials: 2, Seed: 5})
+	series, err := RunFig3Ctx(context.Background(), Fig3Config{Ks: []int{6}, NMin: 2, NMax: 9, Trials: 2, Seed: 5}, RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,14 +204,14 @@ func TestRunFig3DefaultsClampNMin(t *testing.T) {
 }
 
 func TestRunFig5RejectsBadDivisibility(t *testing.T) {
-	_, err := RunFig5(Fig5Config{Ks: []int{7}, Base: 120, NFactors: []int{1}, Trials: 1, Seed: 1})
+	_, err := RunFig5Ctx(context.Background(), Fig5Config{Ks: []int{7}, Base: 120, NFactors: []int{1}, Trials: 1, Seed: 1}, RunOptions{})
 	if err == nil {
 		t.Fatal("120 %% 7 != 0 accepted")
 	}
 }
 
 func TestRunFig5Small(t *testing.T) {
-	series, err := RunFig5(Fig5Config{Ks: []int{3, 4}, Base: 12, NFactors: []int{1, 2}, Trials: 3, Seed: 11, Workers: 4})
+	series, err := RunFig5Ctx(context.Background(), Fig5Config{Ks: []int{3, 4}, Base: 12, NFactors: []int{1, 2}, Trials: 3, Seed: 11, Workers: 4}, RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,7 +224,7 @@ func TestRunFig5Small(t *testing.T) {
 }
 
 func TestRunFig6Small(t *testing.T) {
-	pts, err := RunFig6(Fig6Config{N: 24, Ks: []int{2, 3, 4}, Trials: 3, Seed: 13, Workers: 4})
+	pts, err := RunFig6Ctx(context.Background(), Fig6Config{N: 24, Ks: []int{2, 3, 4}, Trials: 3, Seed: 13, Workers: 4}, RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,7 +239,7 @@ func TestRunFig6Small(t *testing.T) {
 }
 
 func TestRunFig6RejectsBadDivisor(t *testing.T) {
-	if _, err := RunFig6(Fig6Config{N: 24, Ks: []int{5}, Trials: 1, Seed: 1}); err == nil {
+	if _, err := RunFig6Ctx(context.Background(), Fig6Config{N: 24, Ks: []int{5}, Trials: 1, Seed: 1}, RunOptions{}); err == nil {
 		t.Fatal("bad divisor accepted")
 	}
 }
@@ -361,12 +362,11 @@ func TestWriteCSVFile(t *testing.T) {
 }
 
 func TestSeedForCellMatchesSweep(t *testing.T) {
-	// The seed SweepPoint uses for (pointID=5, trial=3) must equal
+	// The seed a sweep gives (pointID=5, trial=3) must equal
 	// SeedForCell's derivation — the re-run-a-cell contract.
 	want := SeedForCell(42, 5, 3)
-	got := SeedForCell(42, 5, 3)
-	if want != got {
-		t.Fatal("SeedForCell not deterministic")
+	if got := (SweepSpec{Seed: 42, PointID: 5, Trials: 4}).Specs()[3].Seed; got != want {
+		t.Fatalf("sweep seed %#x, SeedForCell %#x", got, want)
 	}
 	if SeedForCell(42, 5, 4) == want || SeedForCell(42, 6, 3) == want {
 		t.Fatal("seed collisions across cells")

@@ -145,6 +145,47 @@ func TestJournalCorruptMiddleRecordRefused(t *testing.T) {
 
 // tearFinalRecord chops the journal's last line mid-record, exactly what a
 // crash during the final append leaves behind.
+// RunJournaled answers a journaled spec from the journal without
+// running it (the planted result is not one the engine could produce)
+// and runs and appends a spec the journal lacks.
+func TestRunJournaledResumesPlantedAndAppendsFresh(t *testing.T) {
+	reg := obs.New("test")
+	SetMetrics(reg)
+	defer SetMetrics(nil)
+	j, err := CreateJournal(filepath.Join(t.TempDir(), "j.journal"), "m")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j.Close()
+	planted := TrialSpec{N: 20, K: 4, Seed: 1}
+	fake := TrialResult{Spec: planted, Interactions: 7, Productive: 3, Converged: true, Attempts: 1}
+	if err := j.Append(planted, fake, 1500*time.Microsecond); err != nil {
+		t.Fatal(err)
+	}
+	opts := RunOptions{Journal: j}
+
+	res, wall, resumed, err := RunJournaled(context.Background(), planted, opts)
+	if err != nil || !resumed || res.Interactions != 7 || wall != 1500*time.Microsecond {
+		t.Fatalf("planted: res=%+v wall=%v resumed=%t err=%v", res, wall, resumed, err)
+	}
+	if got := reg.Counter("harness/trials").Value(); got != 0 {
+		t.Fatalf("a journaled spec ran %d trials", got)
+	}
+
+	fresh := TrialSpec{N: 20, K: 4, Seed: 2}
+	res, wall, resumed, err = RunJournaled(context.Background(), fresh, opts)
+	if err != nil || resumed || !res.Converged || wall <= 0 {
+		t.Fatalf("fresh: res=%+v wall=%v resumed=%t err=%v", res, wall, resumed, err)
+	}
+	e, ok := j.Lookup(fresh)
+	if !ok || e.Result.Interactions != res.Interactions || j.Len() != 2 {
+		t.Fatalf("fresh trial not appended: %+v %t len=%d", e, ok, j.Len())
+	}
+	if got := reg.Counter("harness/resumed").Value(); got != 1 {
+		t.Fatalf("resumed counter = %d, want 1", got)
+	}
+}
+
 func tearFinalRecord(t *testing.T, path string) {
 	t.Helper()
 	data, err := os.ReadFile(path)

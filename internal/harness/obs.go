@@ -43,8 +43,8 @@ func Metrics() *obs.Registry {
 // decision points rather than here: harness/retries (RunTrialCtx, per
 // re-derived-seed attempt), harness/timeouts (per attempt that exceeded
 // its wall deadline), harness/canceled (trials abandoned because the
-// batch context fired), and harness/resumed (RunManyCtx, trials answered
-// from the sweep journal instead of re-run).
+// batch context fired), and harness/resumed (RunJournaled, trials
+// answered from the sweep journal instead of re-run).
 func observeTrial(reg *obs.Registry, res TrialResult, err error, wall time.Duration) {
 	reg.Counter("harness/trials").Inc()
 	if err != nil {

@@ -71,10 +71,11 @@ func inDeterministicPkg(path string) bool {
 // persistencePkgs are the paths that write experiment artifacts (CSV,
 // JSON docs, journals, traces, checkpoints) — the places where a
 // swallowed Close/Flush error turns into a silently truncated result
-// file.
+// file. internal/cli closes the binaries' trial journals.
 func inPersistencePkg(path string) bool {
 	switch path {
 	case modPath + "/internal/harness",
+		modPath + "/internal/cli",
 		modPath + "/internal/checkpoint",
 		modPath + "/internal/trace":
 		return true

@@ -116,6 +116,12 @@ func TestRNGDisciplineBatchAllowsRngPackage(t *testing.T) {
 	}
 }
 
+// internal/cli closes the binaries' journals, so it is a persistence
+// path: the same golden findings hold there.
+func TestErrCloseCoversCLI(t *testing.T) {
+	linttest.Run(t, "testdata/errclose", "repro/internal/cli", analyzers.ErrClose)
+}
+
 // Outside the persistence paths a dropped Close error is tolerated (the
 // race/test layers own those packages' correctness stories).
 func TestErrCloseScopedToPersistencePaths(t *testing.T) {

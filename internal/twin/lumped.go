@@ -132,17 +132,17 @@ func encodeReduced(p *core.Protocol, counts []int, vec []int32) {
 // level returns a reduced vector's #gk.
 func level(vec []int32) int { return int(vec[len(vec)-1]) }
 
-// transitions computes a node's lumped outgoing distribution: self-loop
-// probability plus edges to other canonical vectors, in deterministic
-// discovery order (targets slice) with weights in dist.
-func (ch *lchain) transitions(vec []int32, counts, next []int, rvec []int32) (self float64, targets []string, dist map[string]float64, tvecs map[string][]int32) {
+// transitions computes node id's lumped outgoing distribution: the
+// self-loop probability plus one edge per other canonical vector, in
+// discovery order. Target vectors not yet in the chain are appended as
+// new nodes, in the order they are met. edgeAt is scratch space mapping
+// a target id to its edge's position.
+func (ch *lchain) transitions(id int, counts, next []int, rvec []int32, edgeAt map[int]int) (self float64, edges []ledge) {
 	p := ch.p
-	decodeFull(p, vec, counts)
+	decodeFull(p, ch.nodes[id], counts)
 	total := float64(ch.n) * float64(ch.n-1)
-	dist = make(map[string]float64)
-	tvecs = make(map[string][]int32)
+	clear(edgeAt)
 	S := p.NumStates()
-	cur := vecKey(vec)
 	for s1 := 0; s1 < S; s1++ {
 		c1 := counts[s1]
 		if c1 == 0 {
@@ -169,18 +169,26 @@ func (ch *lchain) transitions(vec []int32, counts, next []int, rvec []int32) (se
 			next[out.Q]++
 			encodeReduced(p, next, rvec)
 			key := vecKey(rvec)
-			if key == cur {
+			to, ok := ch.index[key]
+			if !ok {
+				to = len(ch.nodes)
+				ch.index[key] = to
+				ch.nodes = append(ch.nodes, append([]int32(nil), rvec...))
+			}
+			if to == id {
 				self += w
 				continue
 			}
-			if _, seen := dist[key]; !seen {
-				targets = append(targets, key)
-				tvecs[key] = append([]int32(nil), rvec...)
+			e, seen := edgeAt[to]
+			if !seen {
+				e = len(edges)
+				edgeAt[to] = e
+				edges = append(edges, ledge{To: to})
 			}
-			dist[key] += w
+			edges[e].P += w
 		}
 	}
-	return self, targets, dist, tvecs
+	return self, edges
 }
 
 // buildLumped builds the reachable lumped chain from the all-initial
@@ -259,14 +267,13 @@ func enumerateLevel(p *core.Protocol, n, c int) [][]int32 {
 // assuming it.
 func (ch *lchain) grow(seeds [][]int32, budget int) error {
 	p, n := ch.p, ch.n
-	index := make(map[string]int)
-	ch.index = index
+	ch.index = make(map[string]int)
 	for _, s := range seeds {
 		key := vecKey(s)
-		if _, ok := index[key]; ok {
+		if _, ok := ch.index[key]; ok {
 			continue
 		}
-		index[key] = len(ch.nodes)
+		ch.index[key] = len(ch.nodes)
 		ch.nodes = append(ch.nodes, s)
 	}
 	isStable, err := p.StableChecker(n)
@@ -276,25 +283,15 @@ func (ch *lchain) grow(seeds [][]int32, budget int) error {
 	counts := make([]int, p.NumStates())
 	next := make([]int, p.NumStates())
 	rvec := make([]int32, vecLen(ch.k))
+	edgeAt := make(map[int]int)
 	for i := 0; i < len(ch.nodes); i++ {
 		if budget > 0 && len(ch.nodes) > budget {
 			return fmt.Errorf("twin: lumped chain for n=%d k=%d exceeds the %d-state budget", n, ch.k, budget)
 		}
-		vec := ch.nodes[i]
-		self, targets, dist, tvecs := ch.transitions(vec, counts, next, rvec)
+		self, edges := ch.transitions(i, counts, next, rvec, edgeAt)
 		ch.self = append(ch.self, self)
-		decodeFull(p, vec, counts)
+		// transitions leaves counts holding node i's decoded configuration.
 		ch.stable = append(ch.stable, isStable(counts))
-		edges := make([]ledge, 0, len(targets))
-		for _, key := range targets {
-			id, ok := index[key]
-			if !ok {
-				id = len(ch.nodes)
-				index[key] = id
-				ch.nodes = append(ch.nodes, tvecs[key])
-			}
-			edges = append(edges, ledge{To: id, P: dist[key]})
-		}
 		ch.out = append(ch.out, edges)
 	}
 	// Levels and the monotonicity check; then sort edges for determinism
